@@ -1,30 +1,46 @@
-"""Deterministic output helpers: canonical JSON and atomic file writes.
+"""Deterministic output helpers: float formatting, canonical JSON, atomic writes.
 
-All floats are rendered with 17 significant digits so identical inputs
-produce byte-identical files; writes go through a temporary file in the
-target directory followed by an atomic rename.
+All floats are rendered with 17 significant digits (``%.17g``) so identical
+inputs produce byte-identical files; :func:`format_floats` is the one
+routine that turns floats into text, a row at a time.  Writes go through a
+temporary file in the target directory followed by an atomic rename.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 
+_FMT = "%.17g".__mod__
+
+
+def format_floats(values, sep: str = ",") -> str:
+    """Join the ``%.17g`` renderings of a flat float sequence with ``sep``.
+
+    Raises ``ValueError`` naming the first non-finite value.
+    """
+    text = sep.join(map(_FMT, values))
+    # 'nan', 'inf' and '-inf' are the only renderings that contain an 'n'.
+    if "n" in text:
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"cannot serialize non-finite value {float(bad)}")
+    return text
+
 
 def fmt_float(x: float) -> str:
-    x = float(x)
-    if not np.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x}")
-    return format(x, ".17g")
+    return format_floats((float(x),))
 
 
 def _canonical(obj):
     if isinstance(obj, dict):
         return "{" + ",".join(f"{json.dumps(str(k))}:{_canonical(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= {float}:
+            return "[" + format_floats(obj) + "]"
         return "[" + ",".join(_canonical(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
         return _canonical(obj.tolist())

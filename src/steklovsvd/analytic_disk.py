@@ -27,6 +27,8 @@ from importlib import resources
 
 import numpy as np
 
+from ._serialize import fmt_float
+
 __all__ = [
     "bessel_j",
     "bessel_j_zero",
@@ -347,17 +349,9 @@ def oracle_table_csv(rows: list[DiskMode]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["family", "k", "m", "parity", "R", "eigenvalue"])
-    for row in rows:
-        writer.writerow(
-            [
-                row.family,
-                row.k,
-                row.m,
-                row.parity,
-                format(row.radius, ".17g"),
-                format(row.eigenvalue, ".17g"),
-            ]
-        )
+    writer.writerows(
+        [r.family, r.k, r.m, r.parity, fmt_float(r.radius), fmt_float(r.eigenvalue)] for r in rows
+    )
     return buf.getvalue()
 
 

@@ -18,12 +18,12 @@ margin (one element diameter by default) from the boundary.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._serialize import format_floats
 from .errors import OutsideDomainError, TruncationWarning
 from .fem import (
     BoundaryField,
@@ -215,10 +215,5 @@ def kernel_grid_csv(basis: SpectralBasis, x, m: int | None = None) -> str:
     """CSV ``x,y,value`` of the truncated kernel slice ``R_M(x, .)`` on the vertices."""
     kernel = TruncatedKernel(basis, m)
     values = kernel.values_on_vertices(x)
-    buf = io.StringIO()
-    buf.write("x,y,value\n")
-    for (px, py), v in zip(basis.mesh.vertices, values):
-        buf.write(
-            f"{format(px, '.17g')},{format(py, '.17g')},{format(v, '.17g')}\n"
-        )
-    return buf.getvalue()
+    rows = np.column_stack([basis.mesh.vertices, values]).tolist()
+    return "x,y,value\n" + "".join(format_floats(row) + "\n" for row in rows)

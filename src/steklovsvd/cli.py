@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._serialize import atomic_write_text, dumps_canonical, fmt_float
+from ._serialize import atomic_write_text, dumps_canonical, fmt_float, format_floats
 from .bergman import kernel_grid_csv
 from .errors import OutsideDomainError
 from .fem import BoundaryField, InteriorField
@@ -161,38 +161,38 @@ def _build_parser(cfg: dict) -> argparse.ArgumentParser:
 # -- domain handling ----------------------------------------------------------------
 
 
-def _read_vertices_file(path):
+def _load_table(path, what, **kwargs) -> np.ndarray:
     try:
-        pts = np.loadtxt(path, ndmin=2)
+        return np.loadtxt(path, **kwargs)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {what} file: {exc}") from exc
+
+
+def _read_mesh_file(path) -> Mesh:
+    try:
+        with open(path) as fh:
+            return read_mesh_text(fh.read())
     except OSError as exc:
-        raise InputError(f"cannot read vertices file: {exc}") from exc
-    if pts.shape[1] != 2:
-        raise InputError("vertices file must contain two columns (x y)")
-    return pts
+        raise InputError(f"cannot read mesh file: {exc}") from exc
 
 
 def _domain_mesh(args) -> tuple[Mesh, str]:
     """Build (or load) the mesh and its self-describing domain string."""
     if args.mesh:
-        try:
-            with open(args.mesh) as fh:
-                mesh = read_mesh_text(fh.read())
-        except OSError as exc:
-            raise InputError(f"cannot read mesh file: {exc}") from exc
+        mesh = _read_mesh_file(args.mesh)
         return mesh, f"meshfile;hash={mesh_hash(mesh)}"
     if args.h is None or args.h <= 0:
         raise InputError("mesh spacing --h must be positive")
     if args.domain == "disk":
         mesh = disk_mesh(args.radius, args.h)
-        descriptor = (
-            f"disk;radius={fmt_float(args.radius)};h={fmt_float(args.h)}"
-        )
-        return mesh, descriptor
+        return mesh, f"disk;radius={fmt_float(args.radius)};h={fmt_float(args.h)}"
     if not args.vertices_file:
         raise InputError("--domain polygon requires --vertices-file")
-    pts = _read_vertices_file(args.vertices_file)
+    pts = _load_table(args.vertices_file, "vertices", ndmin=2)
+    if pts.shape[1] != 2:
+        raise InputError("vertices file must contain two columns (x y)")
     mesh = build_polygon_mesh(pts, args.h)
-    packed = ",".join(f"{fmt_float(x)} {fmt_float(y)}" for x, y in pts)
+    packed = ",".join(format_floats(xy, " ") for xy in pts.tolist())
     return mesh, f"polygon;h={fmt_float(args.h)};vertices={packed}"
 
 
@@ -220,11 +220,7 @@ def _load_basis(args):
     except json.JSONDecodeError as exc:
         raise InputError(f"basis file is not valid JSON: {exc}") from exc
     if args.mesh:
-        try:
-            with open(args.mesh) as fh:
-                mesh = read_mesh_text(fh.read())
-        except OSError as exc:
-            raise InputError(f"cannot read mesh file: {exc}") from exc
+        mesh = _read_mesh_file(args.mesh)
     else:
         mesh = _rebuild_from_descriptor(data["domain"])
         if mesh is None:
@@ -250,7 +246,7 @@ def _boundary_data(args, mesh) -> BoundaryField:
         raise InputError("provide exactly one of --g-file / --g-const")
     if args.g_const is not None:
         return BoundaryField.constant(mesh, args.g_const)
-    vals = np.loadtxt(args.g_file).ravel()
+    vals = _load_table(args.g_file, "boundary data").ravel()
     if vals.size != mesh.boundary_nodes.size:
         raise InputError(
             f"boundary data has {vals.size} values, mesh has "
@@ -264,7 +260,7 @@ def _interior_data(args, mesh) -> InteriorField:
         raise InputError("provide exactly one of --f-file / --f-const")
     if args.f_const is not None:
         return InteriorField.constant(mesh, args.f_const)
-    vals = np.loadtxt(args.f_file).ravel()
+    vals = _load_table(args.f_file, "interior data").ravel()
     if vals.size != mesh.vertices.shape[0]:
         raise InputError(
             f"interior data has {vals.size} values, mesh has "
@@ -417,6 +413,10 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    if "--x" in argv[:-1]:
+        # Glue the point to its flag, so a leading '-' is not read as an option.
+        i = argv.index("--x")
+        argv[i : i + 2] = [f"--x={argv[i + 1]}"]
     try:
         cfg = _load_config(argv)
         parser = _build_parser(cfg)

@@ -127,11 +127,11 @@ class AssembledOperators:
     spanned by constants; the mass matrix is symmetric positive definite.
     The interior block of the stiffness matrix is factorized once (sparse
     LU) and reused by every solve on the mesh.  Instances are immutable
-    and safe to share between threads.
+    and safe to share between threads.  They keep no reference to the
+    mesh, so the per-mesh cache in :func:`operators` can drop them with it.
     """
 
     def __init__(self, mesh: Mesh):
-        self.mesh = mesh
         v, t = mesh.vertices, mesh.triangles
         p = v[t]
         # Barycentric gradient coefficients: grad(lambda_i) = (b_i, c_i) / (2A).
@@ -158,7 +158,7 @@ class AssembledOperators:
         m_loc = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
         rows = np.repeat(t, 3, axis=1).ravel()
         cols = np.tile(t, (1, 3)).ravel()
-        n = v.shape[0]
+        n = self.n_vertices = v.shape[0]
         self.stiffness = sp.coo_matrix(
             (a_loc.ravel(), (rows, cols)), shape=(n, n)
         ).tocsr()
@@ -181,7 +181,7 @@ class AssembledOperators:
     def extend_boundary_columns(self, g_columns: np.ndarray) -> np.ndarray:
         """Discrete harmonic extension of boundary data, one column per field."""
         g = np.atleast_2d(np.asarray(g_columns, dtype=float).T).T
-        full = np.zeros((self.mesh.vertices.shape[0], g.shape[1]))
+        full = np.zeros((self.n_vertices, g.shape[1]))
         full[self.boundary_idx] = g
         full[self.interior_idx] = self.interior_lu.solve(-(self.stiffness_ib @ g))
         return full

@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
+from ._serialize import format_floats
 from .errors import OutsideDomainError
 
 __all__ = [
@@ -224,6 +226,20 @@ class Mesh:
         lengths = [np.hypot(*(p[:, i] - p[:, j]).T) for i, j in ((0, 1), (1, 2), (2, 0))]
         return float(np.max(lengths))
 
+    @cached_property
+    def _text(self) -> str:
+        """Canonical text of :func:`write_mesh_text`, built once: the arrays are read-only."""
+        flags = self.is_boundary.astype(int).tolist()
+        lines = [f"nodes {self.vertices.shape[0]}"]
+        lines += [f"{format_floats(xy, ' ')} {fb}" for xy, fb in zip(self.vertices, flags)]
+        lines.append(f"triangles {self.triangles.shape[0]}")
+        lines += [f"{i} {j} {k}" for i, j, k in self.triangles]
+        lines.append(f"boundary_loops {len(self.boundary_loops)}")
+        for loop in self.boundary_loops:
+            lines.append(f"loop {len(loop)}")
+            lines.append(" ".join(map(str, loop.tolist())))
+        return "\n".join(lines) + "\n"
+
     def validate(self):
         """Check mesh invariants; raises ``ValueError`` on violation."""
         if np.any(self.interior_weights <= 0):
@@ -297,11 +313,7 @@ class Mesh:
         point = np.asarray(point, dtype=float)
         a = self.vertices[self.boundary_edges[:, 0]]
         b = self.vertices[self.boundary_edges[:, 1]]
-        ab = b - a
-        t = np.einsum("ij,ij->i", point - a, ab) / np.einsum("ij,ij->i", ab, ab)
-        t = np.clip(t, 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        return float(np.min(np.hypot(*(point - proj).T)))
+        return float(np.min(_segment_distances(point, a, b)))
 
 
 # -- generators -----------------------------------------------------------------
@@ -521,30 +533,16 @@ def transform(mesh: Mesh, rotation: float = 0.0, offset=(0.0, 0.0), scale: float
 # -- text serialization -----------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_mesh_text(mesh: Mesh) -> str:
     """Serialize a mesh to the canonical text format (bit-exact round trip).
 
     Layout: ``nodes <N>`` then one ``x y is_boundary`` line per node;
     ``triangles <T>`` then one ``i j k`` line per triangle (counterclockwise,
     0-based); ``boundary_loops <L>`` then per loop a ``loop <len>`` line
-    followed by the node indices of the loop on one line.
+    followed by the node indices of the loop on one line.  The text is
+    cached on the mesh, so :func:`mesh_hash` and later writes reuse it.
     """
-    lines = [f"nodes {mesh.vertices.shape[0]}"]
-    flags = mesh.is_boundary.astype(int)
-    for (x, y), fb in zip(mesh.vertices, flags):
-        lines.append(f"{_fmt(x)} {_fmt(y)} {fb}")
-    lines.append(f"triangles {mesh.triangles.shape[0]}")
-    for i, j, k in mesh.triangles:
-        lines.append(f"{i} {j} {k}")
-    lines.append(f"boundary_loops {len(mesh.boundary_loops)}")
-    for loop in mesh.boundary_loops:
-        lines.append(f"loop {len(loop)}")
-        lines.append(" ".join(str(int(i)) for i in loop))
-    return "\n".join(lines) + "\n"
+    return mesh._text
 
 
 def read_mesh_text(text: str) -> Mesh:

@@ -20,11 +20,11 @@ variant labeled separately where both appear in reports.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._serialize import format_floats
 from .errors import CapacityError, OutsideDomainError
 from .fem import BoundaryField, InteriorField, harmonic_extension, interpolate_values
 from .spectra import SpectralBasis
@@ -143,12 +143,8 @@ def kernel_slice(svd: PoissonSvd, x, m: int | None = None):
 
 def kernel_slice_csv(svd: PoissonSvd, x, m: int | None = None) -> str:
     """CSV ``z_arclength,value`` of the kernel slice at fixed interior ``x``."""
-    arclength, values = kernel_slice(svd, x, m)
-    buf = io.StringIO()
-    buf.write("z_arclength,value\n")
-    for a, v in zip(arclength, values):
-        buf.write(f"{format(a, '.17g')},{format(v, '.17g')}\n")
-    return buf.getvalue()
+    rows = np.column_stack(kernel_slice(svd, x, m)).tolist()
+    return "z_arclength,value\n" + "".join(format_floats(row) + "\n" for row in rows)
 
 
 def extension_norm(svd: PoissonSvd) -> float:

@@ -492,10 +492,10 @@ def basis_to_json_dict(basis: SpectralBasis, domain: str) -> dict:
         "domain": domain,
         "boundary_length": basis.boundary_length,
         "M": int(basis.rank),
-        "q": [float(v) for v in basis.q],
-        "b": [[float(v) for v in basis.b_matrix[:, j]] for j in range(basis.rank)],
-        "h": [[float(v) for v in basis.h_matrix[:, j]] for j in range(basis.rank)],
-        "w": [[float(v) for v in basis.w_matrix[:, j]] for j in range(basis.rank)],
+        "q": basis.q.tolist(),
+        "b": basis.b_matrix[:, : basis.rank].T.tolist(),
+        "h": basis.h_matrix[:, : basis.rank].T.tolist(),
+        "w": basis.w_matrix[:, : basis.rank].T.tolist(),
         "mesh_hash": mesh_hash(basis.mesh),
     }
 

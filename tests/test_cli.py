@@ -104,6 +104,12 @@ class TestKernelCommand:
         header = out.read_text().splitlines()[0]
         assert header == "x,y,value"
 
+    def test_negative_first_coordinate(self, tmp_path, basis_file):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert run(["kernel", "--basis", basis_file, "--x", "-0.3,0.1", "--out", spaced]) == 0
+        assert run(["kernel", "--basis", basis_file, "--x=-0.3,0.1", "--out", joined]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
     def test_bad_point_is_input_error(self, tmp_path, basis_file):
         assert run(["kernel", "--basis", basis_file, "--x", "zap", "--out",
                     tmp_path / "s.csv"]) == 1
@@ -196,3 +202,29 @@ class TestVerifyCommand:
         assert code == 2
         assert "FAIL mesh.fake" in out
         assert "measured=" in out and "allowed=" in out
+
+
+class TestInputFileErrors:
+    BAD_CONTENT = {"malformed": "0 0\n1 x\n", "wrong_length": "0 0 0\n1 0 0\n1 1 0\n"}
+
+    @pytest.mark.parametrize("problem", ["missing", "malformed", "wrong_length"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["extend", "--basis", "{basis}", "--g-file", "{data}"],
+            ["project", "--basis", "{basis}", "--f-file", "{data}"],
+            ["mesh", "--domain", "polygon", "--h", "0.2", "--vertices-file", "{data}"],
+        ],
+        ids=["g-file", "f-file", "vertices-file"],
+    )
+    def test_one_error_line_and_exit_one(self, tmp_path, basis_file, capsys, problem, command):
+        data = tmp_path / "data.txt"
+        if problem != "missing":
+            data.write_text(self.BAD_CONTENT[problem])
+        argv = [a.format(basis=basis_file, data=data) for a in command]
+        assert run(argv + ["--out", tmp_path / "out"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()

@@ -1,9 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from steklovsvd import refine
+from steklovsvd import disk_mesh, fem, refine
 from steklovsvd.fem import (
     BoundaryField,
     InteriorField,
@@ -199,3 +201,15 @@ class TestGreenIdentity:
         f = InteriorField.from_function(disk_coarse, lambda x, y: x + y)
         u = solve_dirichlet_poisson(disk_coarse, f, None)
         assert green_identity_residual(disk_coarse, u, u, f, f) < 1e-12
+
+
+class TestOperatorCache:
+    def test_mesh_and_operators_are_freed(self):
+        mesh = disk_mesh(1.0, 0.25)
+        harmonic_extension(mesh, BoundaryField.constant(mesh, 1.0))
+        ref = weakref.ref(mesh)
+        cached = len(fem._OPERATOR_CACHE)
+        del mesh
+        gc.collect()
+        assert ref() is None
+        assert len(fem._OPERATOR_CACHE) == cached - 1

@@ -1,0 +1,278 @@
+"""Byte-identity of the batched float writers against the per-float originals.
+
+The reference functions below are the per-float writers the package used
+before floats were formatted a row at a time, copied unchanged; every
+writer must still produce exactly their bytes.
+"""
+
+import hashlib
+import io
+import json
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from steklovsvd._serialize import dumps_canonical, fmt_float, format_floats
+from steklovsvd.bergman import TruncatedKernel, kernel_grid_csv
+from steklovsvd.meshing import Mesh, disk_mesh, mesh_hash, write_mesh_text
+from steklovsvd.poisson import PoissonSvd, kernel_slice, kernel_slice_csv
+from steklovsvd.spectra import basis_to_json_dict, dbs_eigensolve
+
+# -- reference implementations -------------------------------------------------------
+
+
+def ref_fmt_float(x: float) -> str:
+    x = float(x)
+    if not np.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite value {x}")
+    return format(x, ".17g")
+
+
+def ref_canonical(obj):
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(str(k))}:{ref_canonical(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(ref_canonical(v) for v in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        return ref_canonical(obj.tolist())
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return ref_fmt_float(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def ref_dumps_canonical(obj) -> str:
+    return ref_canonical(obj) + "\n"
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def ref_write_mesh_text(mesh) -> str:
+    lines = [f"nodes {mesh.vertices.shape[0]}"]
+    flags = mesh.is_boundary.astype(int)
+    for (x, y), fb in zip(mesh.vertices, flags):
+        lines.append(f"{_fmt(x)} {_fmt(y)} {fb}")
+    lines.append(f"triangles {mesh.triangles.shape[0]}")
+    for i, j, k in mesh.triangles:
+        lines.append(f"{i} {j} {k}")
+    lines.append(f"boundary_loops {len(mesh.boundary_loops)}")
+    for loop in mesh.boundary_loops:
+        lines.append(f"loop {len(loop)}")
+        lines.append(" ".join(str(int(i)) for i in loop))
+    return "\n".join(lines) + "\n"
+
+
+def ref_kernel_slice_csv(arclength, values) -> str:
+    buf = io.StringIO()
+    buf.write("z_arclength,value\n")
+    for a, v in zip(arclength, values):
+        buf.write(f"{format(a, '.17g')},{format(v, '.17g')}\n")
+    return buf.getvalue()
+
+
+def ref_kernel_grid_csv(vertices, values) -> str:
+    buf = io.StringIO()
+    buf.write("x,y,value\n")
+    for (px, py), v in zip(vertices, values):
+        buf.write(
+            f"{format(px, '.17g')},{format(py, '.17g')},{format(v, '.17g')}\n"
+        )
+    return buf.getvalue()
+
+
+def ref_basis_to_json_dict(basis, domain: str) -> dict:
+    return {
+        "domain": domain,
+        "boundary_length": basis.boundary_length,
+        "M": int(basis.rank),
+        "q": [float(v) for v in basis.q],
+        "b": [[float(v) for v in basis.b_matrix[:, j]] for j in range(basis.rank)],
+        "h": [[float(v) for v in basis.h_matrix[:, j]] for j in range(basis.rank)],
+        "w": [[float(v) for v in basis.w_matrix[:, j]] for j in range(basis.rank)],
+        "mesh_hash": mesh_hash(basis.mesh),
+    }
+
+
+# -- float corpus ----------------------------------------------------------------------
+
+EDGE_FLOATS = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,
+    2.225073858507201e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    1.0,
+    -3.0,
+    2.0**53,
+    2.0**53 + 2.0,
+    1e16,
+    1e17,
+    0.1,
+    1 / 3,
+    123456789012345680.0,
+]
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(_from_bits).filter(math.isfinite),
+    st.integers(-(2**62), 2**62).map(float),
+    st.sampled_from(EDGE_FLOATS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finite_floats, max_size=40))
+@example(EDGE_FLOATS)
+@example([])
+def test_float_rows_match_reference(values):
+    arr = np.array(values, dtype=float)
+    expected = ref_dumps_canonical(values)
+    assert dumps_canonical(values) == expected
+    assert dumps_canonical(tuple(values)) == expected
+    assert dumps_canonical(arr) == expected
+    assert dumps_canonical([np.float64(v) for v in values]) == expected
+    assert format_floats(arr, " ") == " ".join(ref_fmt_float(v) for v in values)
+    for v in values[:5]:
+        assert fmt_float(v) == ref_fmt_float(v)
+        assert dumps_canonical(np.float64(v)) == ref_dumps_canonical(np.float64(v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(finite_floats, min_size=6, max_size=6))
+def test_float32_and_2d_arrays_match_reference(values):
+    arr = np.array(values).reshape(2, 3)
+    with np.errstate(over="ignore"):
+        small = arr.astype(np.float32)
+    payload = {"a": arr, "t": arr.T, "f32": small[np.isfinite(small).all(axis=1)]}
+    assert dumps_canonical(payload) == ref_dumps_canonical(payload)
+
+
+MIXED_PAYLOAD = {
+    "domain": "disk;radius=1;h=0.1",
+    "flags": [True, False, np.bool_(True), np.bool_(False)],
+    "ints": [0, -7, np.int64(2**40), np.int32(-3), 10**20],
+    "scalars": [np.float64(0.1), -0.0, 5e-324, None, "é\"q\""],
+    "vec": np.array([1.0, -2.5, 1e-300]),
+    "mat": np.arange(12.0).reshape(3, 4) / 7.0,
+    "cube": np.arange(8.0).reshape(2, 2, 2),
+    "empty": np.array([]),
+    "empty_rows": np.zeros((0, 3)),
+    "empty_cols": np.zeros((2, 0)),
+    "scalar_array": np.array(2.5),
+    "int_array": np.arange(4),
+    "bool_array": np.array([True, False]),
+    "mixed_list": [1.0, 2, True, np.float64(3.5), np.array([0.25])],
+    "nested": ({"k": [[1.5, 2.5], (3.5,)]}, []),
+    3: "non-string key",
+}
+
+
+def test_mixed_payload_matches_reference():
+    assert dumps_canonical(MIXED_PAYLOAD) == ref_dumps_canonical(MIXED_PAYLOAD)
+
+
+def test_pinned_payload_hash():
+    # No solver involved: the digest is the same on every machine.
+    text = dumps_canonical(MIXED_PAYLOAD)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f3f039596443a1ec7ffdd4cc03a1afcbc3edb26d038339aa4c7627553cf9c729"
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda a: a,
+        lambda a: a.reshape(2, 2),
+        lambda a: a.tolist(),
+        lambda a: {"x": [1, {"y": a}]},
+        lambda a: [a.tolist(), a],
+    ],
+    ids=["1d", "2d", "list", "nested", "list_of_rows"],
+)
+def test_non_finite_values_raise_as_before(bad, wrap):
+    arr = np.array([1.0, -2.0, bad, math.nan])
+    payload = wrap(arr)
+    with pytest.raises(ValueError) as ref_exc:
+        ref_dumps_canonical(payload)
+    with pytest.raises(ValueError, match="^cannot serialize non-finite value ") as exc:
+        dumps_canonical(payload)
+    assert str(exc.value) == str(ref_exc.value)
+
+
+def test_long_double_arrays_match_reference():
+    payload = {"ld": np.array([0.1, 1.0, -2.5], dtype=np.longdouble) / 3}
+    assert dumps_canonical(payload) == ref_dumps_canonical(payload)
+    if np.finfo(np.longdouble).max > np.finfo(float).max:
+        huge = np.array([1.0, np.finfo(np.longdouble).max], dtype=np.longdouble)
+        with pytest.raises(ValueError, match="^cannot serialize non-finite value inf$"):
+            dumps_canonical(huge)
+
+
+def test_unserializable_type_still_rejected():
+    with pytest.raises(TypeError, match="cannot serialize complex"):
+        dumps_canonical({"z": np.array([1j])})
+
+
+# -- real writers -------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_basis():
+    return dbs_eigensolve(disk_mesh(1, 0.1), 12)
+
+
+def test_basis_json_matches_reference(small_basis):
+    new = basis_to_json_dict(small_basis, "disk;radius=1;h=0.1")
+    ref = ref_basis_to_json_dict(small_basis, "disk;radius=1;h=0.1")
+    assert new == ref
+    assert all(type(v) is float for v in new["q"] + new["b"][0] + new["w"][-1])
+    assert dumps_canonical(new) == ref_dumps_canonical(ref)
+
+
+def test_mesh_text_matches_reference(small_basis):
+    mesh = small_basis.mesh
+    assert write_mesh_text(mesh) == ref_write_mesh_text(mesh)
+
+
+def test_mesh_text_is_cached_and_hash_unchanged():
+    mesh = disk_mesh(1.0, 0.2)
+    expected = ref_write_mesh_text(mesh)
+    digest = mesh_hash(mesh)
+    assert digest == hashlib.sha256(expected.encode()).hexdigest()
+    text = write_mesh_text(mesh)
+    assert text == expected
+    assert write_mesh_text(mesh) is text
+    assert mesh_hash(Mesh(mesh.vertices, mesh.triangles)) == digest
+
+
+def test_kernel_csvs_match_reference(small_basis):
+    x = (-0.3, 0.1)
+    svd = PoissonSvd.from_basis(small_basis)
+    assert kernel_slice_csv(svd, x, 8) == ref_kernel_slice_csv(*kernel_slice(svd, x, 8))
+    values = TruncatedKernel(small_basis, 8).values_on_vertices(x)
+    assert kernel_grid_csv(small_basis, x, 8) == ref_kernel_grid_csv(
+        small_basis.mesh.vertices, values
+    )
