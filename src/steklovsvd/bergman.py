@@ -46,16 +46,9 @@ __all__ = [
 ]
 
 
-def _resolve_rank(basis: SpectralBasis, m) -> int:
-    m = basis.rank if m is None else int(m)
-    if m < 1 or m > basis.rank:
-        raise ValueError(f"truncation rank must lie in [1, {basis.rank}], got {m}")
-    return m
-
-
 def bergman_project(f: InteriorField, basis: SpectralBasis, m: int | None = None) -> InteriorField:
     """Rank-``m`` harmonic projection of ``f`` (idempotent on its range)."""
-    m = _resolve_rank(basis, m)
+    m = basis.truncation_rank(m)
     coeffs = basis.interior_coeffs(f)[:m]
     return InteriorField(basis.mesh, basis.h_matrix[:, :m] @ coeffs)
 
@@ -71,7 +64,7 @@ class TruncatedKernel:
 
     def __init__(self, basis: SpectralBasis, m: int | None = None, margin: float | None = None):
         self.basis = basis
-        self.m = _resolve_rank(basis, m)
+        self.m = basis.truncation_rank(m)
         self.margin = basis.mesh.max_edge_length if margin is None else float(margin)
         self._cache: dict[tuple[float, float], np.ndarray] = {}
 
@@ -147,7 +140,7 @@ def biharmonic_potential(
     :class:`TruncationWarning` is raised when the projection has not yet
     settled between ranks ``m - 5`` and ``m``.
     """
-    m = _resolve_rank(basis, m)
+    m = basis.truncation_rank(m)
     coeffs = basis.interior_coeffs(f)[:m]
     scale = max(f.norm_l2(), 1e-300)
     if m > 5:
@@ -183,7 +176,7 @@ def neumann_biharmonic_extension(
     ``|bdy| * sum_j q_j <eta, w_j>**2``.  Slow coefficient decay raises a
     :class:`TruncationWarning`.
     """
-    m = _resolve_rank(basis, m)
+    m = basis.truncation_rank(m)
     ghat = basis.boundary_coeffs(eta)[:m]
     total = eta.inner_normalized(eta)
     tail = total - float(ghat @ ghat)

@@ -120,15 +120,29 @@ class BoundaryField:
         return self.norm_dsigma() / np.sqrt(self.mesh.boundary_length)
 
 
+# Boundary columns per block in ``AssembledOperators.boundary_forms``: the
+# solver's right-hand side and each mass product stay ``n x 64``.
+_FORM_BLOCK = 64
+
+
 class AssembledOperators:
     """Stiffness, mass and boundary quadrature for one mesh, assembled once.
 
     The stiffness matrix is symmetric positive semidefinite with kernel
     spanned by constants; the mass matrix is symmetric positive definite.
-    The interior block of the stiffness matrix is factorized once (sparse
-    LU) and reused by every solve on the mesh.  Instances are immutable
-    and safe to share between threads.  They keep no reference to the
-    mesh, so the per-mesh cache in :func:`operators` can drop them with it.
+    Two things are computed at most once per mesh, on first use, and
+    reused by every solver on it:
+
+    * ``interior_lu``, the sparse LU of the interior stiffness block,
+      behind every Dirichlet solve, harmonic extension and the
+      shift-invert Dirichlet eigensolve;
+    * ``boundary_forms``, the ``nb x nb`` Gram and Schur forms of the
+      harmonic extension that the dense DBS and DtN eigensolvers read
+      (``2 nb**2`` floats, with ``nb`` boundary nodes).
+
+    Instances are immutable and safe to share between threads.  They keep
+    no reference to the mesh, so the per-mesh cache in :func:`operators`
+    drops them, factorization and forms included, with the mesh.
     """
 
     def __init__(self, mesh: Mesh):
@@ -178,12 +192,44 @@ class AssembledOperators:
         a_ii = self.stiffness[self.interior_idx][:, self.interior_idx].tocsc()
         return splu(a_ii)
 
+    @cached_property
+    def boundary_forms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gram form ``E^T M E`` and Schur form ``K[b] E``, both ``nb x nb``.
+
+        ``E`` is the discrete harmonic extension of the boundary identity
+        (column ``j`` extends the unit vector of boundary node ``j``).  It
+        is solved, and the Gram form multiplied out, ``_FORM_BLOCK``
+        columns at a time, so ``E`` is the one ``n x nb`` array alive; it
+        is dropped on return and only the two read-only forms are kept.
+        The Gram form is computed on and below its diagonal and mirrored,
+        so it is exactly symmetric.  The Schur form is the stiffness
+        matrix's boundary rows applied to ``E``.
+        """
+        nb = self.boundary_idx.size
+        blocks = [slice(s, min(s + _FORM_BLOCK, nb)) for s in range(0, nb, _FORM_BLOCK)]
+        ext = np.empty((self.n_vertices, nb))
+        for cols in blocks:
+            unit = np.zeros((nb, cols.stop - cols.start))
+            unit[cols] = np.eye(cols.stop - cols.start)
+            ext[:, cols] = self.extend_boundary_columns(unit)
+        gram = np.empty((nb, nb))
+        for cols in blocks:
+            gram[cols, : cols.stop] = (self.mass @ ext[:, cols]).T @ ext[:, : cols.stop]
+        upper = np.triu_indices(nb, 1)
+        gram[upper] = gram.T[upper]
+        schur = self.stiffness[self.boundary_idx] @ ext
+        gram.setflags(write=False)
+        schur.setflags(write=False)
+        return gram, schur
+
     def extend_boundary_columns(self, g_columns: np.ndarray) -> np.ndarray:
         """Discrete harmonic extension of boundary data, one column per field."""
         g = np.atleast_2d(np.asarray(g_columns, dtype=float).T).T
-        full = np.zeros((self.n_vertices, g.shape[1]))
+        interior = self.interior_lu.solve(-(self.stiffness_ib @ g))
+        # Boundary and interior nodes partition the vertices: every row is written.
+        full = np.empty((self.n_vertices, g.shape[1]))
         full[self.boundary_idx] = g
-        full[self.interior_idx] = self.interior_lu.solve(-(self.stiffness_ib @ g))
+        full[self.interior_idx] = interior
         return full
 
 

@@ -55,6 +55,18 @@ def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
+def boundary_polygon_measures(mesh: Mesh) -> tuple[float, float]:
+    """Area (shoelace formula) and perimeter of the boundary polygon, over all loops."""
+    area = 0.0
+    length = 0.0
+    for loop in mesh.boundary_loops:
+        p = mesh.vertices[loop]
+        q = mesh.vertices[np.roll(loop, -1)]
+        area += 0.5 * float(np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
+        length += float(np.sum(np.hypot(*(q - p).T)))
+    return area, length
+
+
 def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Swap vertices of clockwise triangles in place; reject degenerate ones."""
     areas = _signed_areas(vertices, triangles)
@@ -252,11 +264,7 @@ class Mesh:
         if np.any(np.einsum("ij,ij->i", self.normals, mid - centroid) <= 0):
             raise ValueError("boundary normal does not point outward")
         # Quadrature exactness against the shoelace formula on the boundary polygon.
-        shoelace = 0.0
-        for loop in self.boundary_loops:
-            p = self.vertices[loop]
-            q = self.vertices[np.roll(loop, -1)]
-            shoelace += 0.5 * np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1])
+        shoelace, _ = boundary_polygon_measures(self)
         scale = max(abs(shoelace), 1.0)
         if abs(self.area - shoelace) > 1e-10 * scale:
             raise ValueError(

@@ -69,17 +69,10 @@ class PoissonSvd:
         return self.basis.boundary_length
 
 
-def _resolve_rank(svd: PoissonSvd, m) -> int:
-    m = svd.rank if m is None else int(m)
-    if m < 1 or m > svd.rank:
-        raise CapacityError(f"rank must lie in [1, {svd.rank}], got {m}")
-    return m
-
-
 def extend_harmonic_svd(g: BoundaryField, svd: PoissonSvd, m: int | None = None) -> InteriorField:
     """Rank-``m`` truncated harmonic extension of boundary data ``g``."""
-    m = _resolve_rank(svd, m)
     basis = svd.basis
+    m = basis.truncation_rank(m)
     ghat = basis.boundary_coeffs(g)[:m]
     weights = np.sqrt(svd.boundary_length / basis.q[:m]) * ghat
     return InteriorField(basis.mesh, basis.h_matrix[:, :m] @ weights)
@@ -103,8 +96,8 @@ def poisson_kernel_eval(svd: PoissonSvd, m: int | None, x, z) -> float:
     ``x`` must keep one element diameter from the boundary (the series
     degrades there); ``z`` must coincide with a boundary node.
     """
-    m = _resolve_rank(svd, m)
     basis = svd.basis
+    m = basis.truncation_rank(m)
     mesh = basis.mesh
     margin = mesh.max_edge_length
     if mesh.distance_to_boundary(x) < margin:
@@ -120,8 +113,8 @@ def kernel_slice(svd: PoissonSvd, x, m: int | None = None):
     Returns ``(arclength, values)`` where ``arclength`` is the cumulative
     boundary coordinate of each node along its loop.
     """
-    m = _resolve_rank(svd, m)
     basis = svd.basis
+    m = basis.truncation_rank(m)
     mesh = basis.mesh
     margin = mesh.max_edge_length
     if mesh.distance_to_boundary(x) < margin:

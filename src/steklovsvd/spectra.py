@@ -16,6 +16,13 @@
 * :func:`dirichlet_laplacian_eigensolve` - Dirichlet Laplacian eigenpairs
   with consistently recovered boundary fluxes.
 
+The dense DBS and DtN branches read the Gram and Schur forms that
+:attr:`fem.AssembledOperators.boundary_forms` builds once per mesh from
+one harmonic extension of the boundary identity, so running both on one
+mesh extends the identity once.  The shift-invert Dirichlet branch
+inverts with the mesh's cached interior LU instead of factorizing again.
+The Lanczos branches apply the operator compositions matrix-free.
+
 Degenerate eigenvalue clusters (relative gap below 1e-6) are rotated to a
 deterministic basis: within each cluster the eigenvectors are re-combined
 by Gram-Schmidt against coordinate directions in fixed node order, and
@@ -181,6 +188,16 @@ class SpectralBasis:
     def rank(self) -> int:
         return self.q.size
 
+    def truncation_rank(self, m: int | None) -> int:
+        """``m`` checked against the rank (``None`` means the full rank).
+
+        Raises :class:`CapacityError` unless ``1 <= m <= rank``.
+        """
+        m = self.rank if m is None else int(m)
+        if m < 1 or m > self.rank:
+            raise CapacityError(f"truncation rank must lie in [1, {self.rank}], got {m}")
+        return m
+
     def interior_coeffs(self, f: InteriorField) -> np.ndarray:
         """Coefficients ``<f, h_j>`` in L2(domain), via the mass matrix."""
         ops = operators(self.mesh)
@@ -217,8 +234,7 @@ def _check_modes(m: int, limit: int, what: str):
 
 
 def _dbs_spectrum_dense(ops, n_modes: int):
-    h_ext = ops.extend_boundary_columns(np.eye(ops.boundary_idx.size))
-    gram = h_ext.T @ (ops.mass @ h_ext)
+    gram, _ = ops.boundary_forms
     sw = np.sqrt(ops.boundary_weights)
     sym = gram / sw[:, None] / sw[None, :]
     vals, vecs = sla.eigh(sym)
@@ -317,8 +333,7 @@ def harmonic_steklov_eigensolve(
         method = "dense" if nb <= _DENSE_BOUNDARY_LIMIT else "lanczos"
     sw = np.sqrt(ops.boundary_weights)
     if method == "dense":
-        x = ops.extend_boundary_columns(np.eye(nb))
-        schur = (ops.stiffness @ x)[ops.boundary_idx]
+        _, schur = ops.boundary_forms
         schur = 0.5 * (schur + schur.T)
         sym = schur / sw[:, None] / sw[None, :]
         vals, vecs = sla.eigh(sym)
@@ -371,13 +386,16 @@ def dirichlet_laplacian_eigensolve(mesh: Mesh, n_modes: int) -> list[DirichletEi
             a_ii.toarray(), m_ii.toarray(), subset_by_index=[0, n_modes - 1]
         )
     else:
+        # Shift-invert about zero: the inverse is the mesh's cached LU.
+        a_inv = spla.LinearOperator((ni, ni), matvec=ops.interior_lu.solve, dtype=float)
         try:
             vals, vecs = spla.eigsh(
-                a_ii.tocsc(),
+                a_ii,
                 k=n_modes,
                 M=m_ii.tocsc(),
                 sigma=0.0,
                 which="LM",
+                OPinv=a_inv,
                 tol=_EIG_TOL,
                 v0=_start_vector(ni),
             )

@@ -26,7 +26,7 @@ from .fem import (
     t_apply,
     trace,
 )
-from .meshing import Mesh, refine, transform
+from .meshing import Mesh, boundary_polygon_measures, refine, transform
 from .spectra import (
     SpectralBasis,
     dbs_eigensolve,
@@ -63,20 +63,9 @@ def _geq(name: str, measured: float, allowed: float) -> CheckResult:
     return CheckResult(name, float(measured), float(allowed), bool(measured >= allowed))
 
 
-def _shoelace(mesh: Mesh) -> tuple[float, float]:
-    area = 0.0
-    length = 0.0
-    for loop in mesh.boundary_loops:
-        p = mesh.vertices[loop]
-        q = mesh.vertices[np.roll(loop, -1)]
-        area += 0.5 * float(np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
-        length += float(np.sum(np.hypot(*(q - p).T)))
-    return area, length
-
-
 def _mesh_suite(mesh: Mesh) -> list[CheckResult]:
     out = []
-    area, length = _shoelace(mesh)
+    area, length = boundary_polygon_measures(mesh)
     out.append(_leq("mesh.area_quadrature_exact", abs(mesh.area - area), 1e-10 * max(area, 1.0)))
     out.append(
         _leq(
@@ -309,7 +298,7 @@ def _bergman_suite(
     out.append(_leq("bergman.contraction", pf.norm_l2() / fnorm, 1.0 + 1e-12))
 
     margin = mesh.max_edge_length
-    area, _ = _shoelace(mesh)
+    area, _ = boundary_polygon_measures(mesh)
     centroid = mesh.vertices.mean(axis=0)
     radius = 0.4 * math.sqrt(area / math.pi)
     pts = [

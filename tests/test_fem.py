@@ -1,11 +1,12 @@
 import gc
+import importlib
 import math
 import weakref
 
 import numpy as np
 import pytest
 
-from steklovsvd import disk_mesh, fem, refine
+from steklovsvd import build_polygon_mesh, disk_mesh, fem, refine, transform
 from steklovsvd.fem import (
     BoundaryField,
     InteriorField,
@@ -17,6 +18,11 @@ from steklovsvd.fem import (
     solve_dirichlet_poisson,
     t_apply,
     trace,
+)
+from steklovsvd.spectra import (
+    dbs_eigensolve,
+    dirichlet_laplacian_eigensolve,
+    harmonic_steklov_eigensolve,
 )
 
 
@@ -96,6 +102,29 @@ class TestHarmonicExtension:
             disk_coarse, g2
         ).values
         assert np.max(np.abs(lhs.values - rhs)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: disk_mesh(1.0, 0.1),
+            lambda: refine(disk_mesh(1.0, 0.2)),
+            lambda: transform(disk_mesh(1.0, 0.2), rotation=0.4, offset=(1.0, -2.0)),
+            lambda: build_polygon_mesh([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)], 0.3),
+        ],
+    )
+    def test_nodes_partition_the_vertices(self, make):
+        # extend_boundary_columns fills an uninitialized array by these rows.
+        ops = operators(make())
+        rows = np.sort(np.concatenate([ops.boundary_idx, ops.interior_idx]))
+        assert np.array_equal(rows, np.arange(ops.n_vertices))
+
+    def test_columns_match_single_solves(self, disk_coarse):
+        ops = operators(disk_coarse)
+        g = np.random.default_rng(3).standard_normal((disk_coarse.boundary_nodes.size, 3))
+        ext = ops.extend_boundary_columns(g)
+        for j in range(3):
+            single = harmonic_extension(disk_coarse, BoundaryField(disk_coarse, g[:, j]))
+            assert np.max(np.abs(ext[:, j] - single.values)) < 1e-12
 
 
 class TestNormalFlux:
@@ -203,10 +232,70 @@ class TestGreenIdentity:
         assert green_identity_residual(disk_coarse, u, u, f, f) < 1e-12
 
 
+class TestBoundaryForms:
+    def test_match_unblocked_products(self, disk_mid):
+        ops = operators(disk_mid)
+        nb = ops.boundary_idx.size
+        assert nb > fem._FORM_BLOCK and nb % fem._FORM_BLOCK != 0
+        ext = ops.extend_boundary_columns(np.eye(nb))
+        gram_ref = ext.T @ (ops.mass @ ext)
+        schur_ref = (ops.stiffness @ ext)[ops.boundary_idx]
+        gram, schur = ops.boundary_forms
+        assert np.max(np.abs(gram - gram_ref)) <= 1e-12 * np.max(np.abs(gram_ref))
+        assert np.max(np.abs(schur - schur_ref)) <= 1e-12 * np.max(np.abs(schur_ref))
+        assert np.array_equal(gram, gram.T)
+
+    def test_forms_are_cached_read_only(self, disk_coarse):
+        ops = operators(disk_coarse)
+        gram, schur = ops.boundary_forms
+        assert ops.boundary_forms[0] is gram
+        for form in (gram, schur):
+            with pytest.raises(ValueError):
+                form[0, 0] = 1.0
+
+    def test_dbs_and_dtn_extend_the_identity_once(self, monkeypatch):
+        mesh = disk_mesh(1.0, 0.1)
+        nb = mesh.boundary_nodes.size
+        columns = []
+        extend = fem.AssembledOperators.extend_boundary_columns
+
+        def counting(self, g_columns):
+            out = extend(self, g_columns)
+            columns.append(out.shape[1])
+            return out
+
+        monkeypatch.setattr(fem.AssembledOperators, "extend_boundary_columns", counting)
+        dbs_eigensolve(mesh, 6, method="dense")
+        harmonic_steklov_eigensolve(mesh, 5, method="dense")
+        # The identity once, then the 6 DBS and 5 DtN eigenvectors.
+        assert sum(columns) == nb + 6 + 5
+
+    def test_one_factorization_for_all_three_solvers(self, monkeypatch):
+        mesh = disk_mesh(1.0, 0.05)
+        assert mesh.interior_nodes.size > 600  # the shift-invert Dirichlet branch
+        arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+        calls = []
+
+        def counting(splu):
+            def wrapper(*args, **kwargs):
+                calls.append(args[0].shape)
+                return splu(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(fem, "splu", counting(fem.splu))
+        monkeypatch.setattr(arpack, "splu", counting(arpack.splu))
+        dbs_eigensolve(mesh, 6, method="dense")
+        harmonic_steklov_eigensolve(mesh, 5, method="dense")
+        dirichlet_laplacian_eigensolve(mesh, 4)
+        assert len(calls) == 1
+
+
 class TestOperatorCache:
     def test_mesh_and_operators_are_freed(self):
         mesh = disk_mesh(1.0, 0.25)
         harmonic_extension(mesh, BoundaryField.constant(mesh, 1.0))
+        assert operators(mesh).boundary_forms[0].shape == (mesh.boundary_nodes.size,) * 2
         ref = weakref.ref(mesh)
         cached = len(fem._OPERATOR_CACHE)
         del mesh

@@ -14,6 +14,7 @@ from steklovsvd import (
     write_mesh_text,
 )
 from steklovsvd.errors import OutsideDomainError
+from steklovsvd.meshing import boundary_polygon_measures
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -114,6 +115,7 @@ class TestInvariants:
     def test_quadrature_matches_polygon_exactly(self, make):
         mesh = make()
         area, length = shoelace(mesh)
+        assert boundary_polygon_measures(mesh) == pytest.approx((area, length), rel=1e-13)
         assert mesh.area == pytest.approx(area, rel=1e-13)
         assert mesh.boundary_length == pytest.approx(length, rel=1e-13)
         assert np.all(mesh.interior_weights > 0)

@@ -6,6 +6,7 @@ import scipy.linalg as sla
 
 from steklovsvd import disk_mesh, transform
 from steklovsvd.analytic_disk import disk_poisson_kernel_exact
+from steklovsvd.bergman import bergman_project
 from steklovsvd.errors import CapacityError, OutsideDomainError
 from steklovsvd.fem import BoundaryField, InteriorField, harmonic_extension, operators
 from steklovsvd.poisson import (
@@ -180,6 +181,16 @@ class TestTruncationReport:
         g = BoundaryField(mesh, rng.standard_normal(mesh.boundary_nodes.size))
         errors = [truncation_error_report(g, disk_svd, m).error for m in range(1, 20)]
         assert np.all(np.diff(errors) <= 1e-12)
+
+    @pytest.mark.parametrize("m", [0, 41])
+    def test_out_of_range_rank_is_a_capacity_error_in_both_modules(self, disk_svd, m):
+        basis = disk_svd.basis
+        mesh = basis.mesh
+        assert basis.rank == 40
+        with pytest.raises(CapacityError, match="truncation rank must lie in"):
+            bergman_project(InteriorField.constant(mesh, 1.0), basis, m)
+        with pytest.raises(CapacityError, match="truncation rank must lie in"):
+            extend_harmonic_svd(BoundaryField.constant(mesh, 1.0), disk_svd, m)
 
     def test_capacity_error(self, disk_svd):
         mesh = disk_svd.basis.mesh

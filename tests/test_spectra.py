@@ -167,6 +167,16 @@ class TestHarmonicSteklov:
         with pytest.raises(CapacityError):
             harmonic_steklov_eigensolve(disk_coarse, disk_coarse.boundary_nodes.size + 1)
 
+    def test_lanczos_agrees_with_dense(self, disk_coarse):
+        dense = np.array(
+            [p.delta for p in harmonic_steklov_eigensolve(disk_coarse, 6, method="dense")]
+        )
+        lanczos = np.array(
+            [p.delta for p in harmonic_steklov_eigensolve(disk_coarse, 6, method="lanczos")]
+        )
+        # delta_1 = 0: relative agreement with a floor of one.
+        assert np.max(np.abs(dense - lanczos) / np.maximum(dense, 1.0)) < 1e-8
+
 
 class TestDirichletLaplacian:
     def test_disk_ground_state(self, disk_mid):
@@ -185,6 +195,16 @@ class TestDirichletLaplacian:
     def test_capacity(self, disk_coarse):
         with pytest.raises(CapacityError):
             dirichlet_laplacian_eigensolve(disk_coarse, disk_coarse.interior_nodes.size + 1)
+
+    def test_shift_invert_agrees_with_dense(self, disk_mid):
+        ops = operators(disk_mid)
+        interior = ops.interior_idx
+        assert interior.size > 600  # above the dense cutoff: shift-invert Lanczos
+        a_ii = ops.stiffness[interior][:, interior].toarray()
+        m_ii = ops.mass[interior][:, interior].toarray()
+        dense = sla.eigh(a_ii, m_ii, eigvals_only=True, subset_by_index=[0, 5])
+        lam = np.array([p.lam for p in dirichlet_laplacian_eigensolve(disk_mid, 6)])
+        assert np.max(np.abs(lam - dense) / dense) < 1e-8
 
 
 class TestNormalDerivativeSeries:
