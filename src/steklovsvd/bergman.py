@@ -69,26 +69,31 @@ class TruncatedKernel:
         self._cache: dict[tuple[float, float], np.ndarray] = {}
 
     def _mode_values(self, point) -> np.ndarray:
-        point = np.asarray(point, dtype=float)
-        key = (float(point[0]), float(point[1]))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        mesh = self.basis.mesh
-        if mesh.distance_to_boundary(point) < self.margin:
-            raise OutsideDomainError(
-                f"point {key} is within the boundary margin {self.margin}"
-            )
-        vals = interpolate_values(mesh, self.basis.h_matrix[:, : self.m], point)[0]
-        self._cache[key] = vals
-        return vals
+        return self._mode_rows([point])[0]
+
+    def _mode_rows(self, points) -> np.ndarray:
+        """Rows ``h_j(x)`` of the first ``m`` modes, one per point; each new point
+        is checked against the margin, and all are interpolated in one call."""
+        keys = [tuple(p) for p in np.asarray(points, dtype=float).reshape(-1, 2).tolist()]
+        new = [k for k in dict.fromkeys(keys) if k not in self._cache]
+        if new:
+            mesh = self.basis.mesh
+            for key in new:
+                if mesh.distance_to_boundary(key) < self.margin:
+                    raise OutsideDomainError(
+                        f"point {key} is within the boundary margin {self.margin}"
+                    )
+            vals = interpolate_values(mesh, self.basis.h_matrix[:, : self.m], new)
+            self._cache.update(zip(new, vals))
+        return np.stack([self._cache[k] for k in keys])
 
     def eval(self, x, y) -> float:
-        return float(self._mode_values(x) @ self._mode_values(y))
+        hx, hy = self._mode_rows([x, y])
+        return float(hx @ hy)
 
     def gram(self, points) -> np.ndarray:
         """Kernel Gram matrix of a point set (positive semidefinite)."""
-        v = np.stack([self._mode_values(p) for p in points])
+        v = self._mode_rows(points)
         return v @ v.T
 
     def values_on_vertices(self, x) -> np.ndarray:

@@ -278,19 +278,12 @@ def _cmd_mesh(args) -> int:
     return 0
 
 
-def _cmd_dbs(args) -> int:
-    mesh, descriptor = _domain_mesh(args)
-    basis = dbs_eigensolve(mesh, args.modes)
-    atomic_write_text(args.out, dumps_canonical(basis_to_json_dict(basis, descriptor)))
-    if args.mesh_out:
-        atomic_write_text(args.mesh_out, write_mesh_text(mesh))
-    return 0
+def _dbs_payload(mesh, descriptor, basis) -> dict:
+    return basis_to_json_dict(basis, descriptor)
 
 
-def _cmd_steklov(args) -> int:
-    mesh, descriptor = _domain_mesh(args)
-    pairs = harmonic_steklov_eigensolve(mesh, args.modes)
-    payload = {
+def _steklov_payload(mesh, descriptor, pairs) -> dict:
+    return {
         "domain": descriptor,
         "boundary_length": mesh.boundary_length,
         "M": len(pairs),
@@ -298,16 +291,10 @@ def _cmd_steklov(args) -> int:
         "s": [p.s.values.tolist() for p in pairs],
         "mesh_hash": mesh_hash(mesh),
     }
-    atomic_write_text(args.out, dumps_canonical(payload))
-    if args.mesh_out:
-        atomic_write_text(args.mesh_out, write_mesh_text(mesh))
-    return 0
 
 
-def _cmd_laplace(args) -> int:
-    mesh, descriptor = _domain_mesh(args)
-    pairs = dirichlet_laplacian_eigensolve(mesh, args.modes)
-    payload = {
+def _laplace_payload(mesh, descriptor, pairs) -> dict:
+    return {
         "domain": descriptor,
         "M": len(pairs),
         "lambda": [p.lam for p in pairs],
@@ -315,7 +302,23 @@ def _cmd_laplace(args) -> int:
         "flux": [p.flux.values.tolist() for p in pairs],
         "mesh_hash": mesh_hash(mesh),
     }
-    atomic_write_text(args.out, dumps_canonical(payload))
+
+
+# Eigen command -> (solver, payload builder).  The solvers are looked up
+# when called, so a wrapper installed on this module sees them.
+_EIGEN_COMMANDS = {
+    "dbs": (lambda mesh, m: dbs_eigensolve(mesh, m), _dbs_payload),
+    "steklov": (lambda mesh, m: harmonic_steklov_eigensolve(mesh, m), _steklov_payload),
+    "laplace-eigs": (lambda mesh, m: dirichlet_laplacian_eigensolve(mesh, m), _laplace_payload),
+}
+
+
+def _cmd_eigen(args) -> int:
+    mesh, descriptor = _domain_mesh(args)
+    solve, payload = _EIGEN_COMMANDS[args.command]
+    result = solve(mesh, args.modes)
+    # No name holds the payload, so it is freed before the mesh text is built.
+    atomic_write_text(args.out, dumps_canonical(payload(mesh, descriptor, result)))
     if args.mesh_out:
         atomic_write_text(args.mesh_out, write_mesh_text(mesh))
     return 0
@@ -401,9 +404,7 @@ def _cmd_verify(args) -> int:
 
 _HANDLERS = {
     "mesh": _cmd_mesh,
-    "dbs": _cmd_dbs,
-    "steklov": _cmd_steklov,
-    "laplace-eigs": _cmd_laplace,
+    **dict.fromkeys(_EIGEN_COMMANDS, _cmd_eigen),
     "kernel": _cmd_kernel,
     "extend": _cmd_extend,
     "project": _cmd_project,

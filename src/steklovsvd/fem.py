@@ -259,12 +259,9 @@ def interpolate_values(mesh: Mesh, values: np.ndarray, points) -> np.ndarray:
     stacked fields; the result has one row per point.
     """
     values = np.asarray(values, dtype=float)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty((pts.shape[0],) + values.shape[1:])
-    for i, point in enumerate(pts):
-        ti, lam = mesh.locate(point)
-        out[i] = lam @ values[mesh.triangles[ti]]
-    return out
+    tri, lam = mesh.locate_many(points)
+    corner_values = values.reshape(values.shape[0], -1)[mesh.triangles[tri]]
+    return (lam[:, None, :] @ corner_values)[:, 0].reshape(tri.shape + values.shape[1:])
 
 
 def _field_values(mesh: Mesh, field, boundary: bool) -> np.ndarray:

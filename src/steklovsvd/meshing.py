@@ -67,17 +67,32 @@ def boundary_polygon_measures(mesh: Mesh) -> tuple[float, float]:
     return area, length
 
 
+def _flat(vertices: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Mask of zero-area triangles (signed ``areas``), relative to the coordinate scale."""
+    scale = float(np.max(np.abs(vertices))) if vertices.size else 1.0
+    return np.abs(areas) <= 1e-14 * max(scale, 1.0) ** 2
+
+
 def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Swap vertices of clockwise triangles in place; reject degenerate ones."""
     areas = _signed_areas(vertices, triangles)
     flip = areas < 0
     triangles = triangles.copy()
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    areas = np.abs(areas)
-    scale = float(np.max(np.abs(vertices))) if vertices.size else 1.0
-    if np.any(areas <= 1e-14 * max(scale, 1.0) ** 2):
+    if np.any(_flat(vertices, areas)):
         raise ValueError("triangulation contains a degenerate (zero-area) triangle")
     return triangles
+
+
+# Smallest barycentric coordinate of a point that counts as inside a triangle.
+_INSIDE = -1e-10
+
+
+def _barycentrics(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates of ``points`` in the triangles ``corners`` (k, 3, 2): (k, 3)."""
+    mat = np.stack([corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]], axis=2)
+    lam = np.linalg.solve(mat, (points - corners[:, 0])[:, :, None])[:, :, 0]
+    return np.column_stack([1.0 - lam[:, 0] - lam[:, 1], lam[:, 0], lam[:, 1]])
 
 
 class Mesh:
@@ -156,8 +171,6 @@ class Mesh:
         ):
             arr.setflags(write=False)
 
-        self._vertex_triangles = None
-        self._kdtree = None
         self.validate()
 
     # -- construction helpers -------------------------------------------------
@@ -273,48 +286,67 @@ class Mesh:
 
     # -- point queries ----------------------------------------------------------
 
-    def _incidence(self):
-        if self._vertex_triangles is None:
-            inc = [[] for _ in range(self.vertices.shape[0])]
-            for ti, tri in enumerate(self.triangles):
-                for vi in tri:
-                    inc[vi].append(ti)
-            self._vertex_triangles = inc
-            self._kdtree = cKDTree(self.vertices)
-        return self._vertex_triangles, self._kdtree
+    @cached_property
+    def _locator(self) -> tuple[cKDTree, np.ndarray, np.ndarray]:
+        """kd-tree of the vertices and CSR vertex -> triangle incidence.
 
-    def _barycentric(self, tri_index: int, point: np.ndarray):
-        p = self.vertices[self.triangles[tri_index]]
-        mat = np.column_stack([p[1] - p[0], p[2] - p[0]])
-        lam = np.linalg.solve(mat, point - p[0])
-        return np.array([1.0 - lam[0] - lam[1], lam[0], lam[1]])
+        ``triangles_of[offsets[v]:offsets[v + 1]]`` lists the triangles
+        around vertex ``v`` in ascending index order.
+        """
+        corners = self.triangles.ravel()
+        offsets = np.zeros(self.vertices.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(corners, minlength=self.vertices.shape[0]), out=offsets[1:])
+        triangles_of = np.argsort(corners, kind="stable") // 3
+        return cKDTree(self.vertices), offsets, triangles_of
+
+    def _place(self, points, owner, candidates, tri, lam):
+        """Give each point ``owner[i]`` (non-decreasing) its first containing candidate."""
+        bary = _barycentrics(self.vertices[self.triangles[candidates]], points[owner])
+        hits = np.flatnonzero(bary.min(axis=1) >= _INSIDE)
+        placed, first = np.unique(owner[hits], return_index=True)
+        tri[placed] = candidates[hits[first]]
+        lam[placed] = bary[hits[first]]
+
+    def locate_many(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Containing triangle and barycentric coordinates of each point.
+
+        Returns ``(tri, lam)`` with shapes ``(p,)`` and ``(p, 3)``.  Each
+        point takes the first triangle, around its 8 nearest vertices
+        (nearest first, triangles in index order), whose barycentric
+        coordinates are all at least ``-1e-10``; a point with none there
+        takes the first such triangle of the whole mesh.  Raises
+        :class:`OutsideDomainError` for the first point outside the
+        triangulated polygon.
+        """
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        tree, offsets, triangles_of = self._locator
+        k = min(8, self.vertices.shape[0])
+        near = tree.query(points, k=k)[1].reshape(points.shape[0], k)
+        tri = np.full(points.shape[0], -1, dtype=np.int64)
+        lam = np.empty((points.shape[0], 3))
+        # One near vertex per pass, for the points not yet placed: a pass
+        # tests only that vertex's CSR row of triangles, so most points are
+        # placed by the first pass and each batch stays a few rows per point.
+        for j in range(k):
+            todo = np.flatnonzero(tri < 0)
+            if not todo.size:
+                break
+            v = near[todo, j]
+            counts = offsets[v + 1] - offsets[v]
+            owner = np.repeat(todo, counts)
+            starts = np.repeat(offsets[v] - np.cumsum(counts) + counts, counts)
+            self._place(points, owner, triangles_of[np.arange(owner.size) + starts], tri, lam)
+        all_triangles = np.arange(self.triangles.shape[0])
+        for i in np.flatnonzero(tri < 0):
+            self._place(points, np.full(all_triangles.size, i), all_triangles, tri, lam)
+            if tri[i] < 0:
+                raise OutsideDomainError(f"point {tuple(points[i])} lies outside the mesh")
+        return tri, lam
 
     def locate(self, point) -> tuple[int, np.ndarray]:
-        """Return ``(triangle_index, barycentric_coords)`` containing ``point``.
-
-        Raises :class:`OutsideDomainError` when the point is not inside the
-        triangulated polygon (up to a small tolerance).
-        """
-        point = np.asarray(point, dtype=float)
-        inc, tree = self._incidence()
-        tol = -1e-10
-        _, near = tree.query(point, k=min(8, self.vertices.shape[0]))
-        seen = set()
-        for vi in np.atleast_1d(near):
-            for ti in inc[int(vi)]:
-                if ti in seen:
-                    continue
-                seen.add(ti)
-                lam = self._barycentric(ti, point)
-                if lam.min() >= tol:
-                    return ti, lam
-        for ti in range(self.triangles.shape[0]):
-            if ti in seen:
-                continue
-            lam = self._barycentric(ti, point)
-            if lam.min() >= tol:
-                return ti, lam
-        raise OutsideDomainError(f"point {tuple(point)} lies outside the mesh")
+        """``(triangle_index, barycentric_coords)`` of ``point``: one row of :meth:`locate_many`."""
+        tri, lam = self.locate_many(np.asarray(point, dtype=float)[None])
+        return int(tri[0]), lam[0]
 
     def distance_to_boundary(self, point) -> float:
         """Euclidean distance from ``point`` to the polygonal boundary."""
@@ -388,12 +420,15 @@ def disk_mesh(radius: float, target_h: float, grading: float = 0.8) -> Mesh:
     return build_disk_mesh(radius, n_radial, n_angular, grading=grading)
 
 
-def _segment_distances(point: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances from ``points`` (..., 2) to the segments ``a``-``b`` (s, 2), shape (..., s)."""
+    points = np.asarray(points)[..., None, :]
     ab = b - a
-    t = np.einsum("ij,ij->i", point - a, ab) / np.einsum("ij,ij->i", ab, ab)
-    t = np.clip(t, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.hypot(*(point - proj).T)
+    rel = points - a
+    dots = rel[..., 0] * ab[:, 0] + rel[..., 1] * ab[:, 1]
+    t = np.clip(dots / (ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]), 0.0, 1.0)
+    gap = points - (a + t[..., None] * ab)
+    return np.hypot(gap[..., 0], gap[..., 1])
 
 
 def build_polygon_mesh(vertices, target_h: float) -> Mesh:
@@ -423,7 +458,6 @@ def build_polygon_mesh(vertices, target_h: float) -> Mesh:
         raise ValueError("polygon needs at least 3 planar vertices")
     if not target_h > 0:
         raise ValueError(f"target_h must be positive, got {target_h}")
-    k = corners.shape[0]
     nxt = np.roll(corners, -1, axis=0)
     signed_area = 0.5 * float(np.sum(corners[:, 0] * nxt[:, 1] - nxt[:, 0] * corners[:, 1]))
     if signed_area <= 0:
@@ -438,89 +472,72 @@ def build_polygon_mesh(vertices, target_h: float) -> Mesh:
         raise ValueError("convexity required: input polygon is not strictly convex")
 
     boundary_pts = []
-    for i in range(k):
-        a, b = corners[i], corners[(i + 1) % k]
+    for a, b in zip(corners, nxt):
         n_seg = max(1, int(math.ceil(np.hypot(*(b - a)) / target_h)))
-        for j in range(n_seg):
-            boundary_pts.append(a + (b - a) * (j / n_seg))
-    boundary_pts = np.asarray(boundary_pts)
+        boundary_pts.append(a + (b - a) * (np.arange(n_seg) / n_seg)[:, None])
+    boundary_pts = np.concatenate(boundary_pts)
 
     xmin, ymin = corners.min(axis=0)
     xmax, ymax = corners.max(axis=0)
     dy = target_h * math.sqrt(3.0) / 2.0
     rows = int(math.floor((ymax - ymin) / dy)) + 1
-    interior = []
     seg_a = boundary_pts
     seg_b = np.roll(boundary_pts, -1, axis=0)
+    interior = []
     for r in range(rows):
-        y = ymin + r * dy
+        # One lattice row at a time: the temporaries are cols x boundary segments.
         x0 = xmin + (target_h / 2.0 if r % 2 else 0.0)
         cols = int(math.floor((xmax - x0) / target_h)) + 1
-        for c in range(cols):
-            p = np.array([x0 + c * target_h, y])
-            rel = p - corners
-            inside = np.all(edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0] > 0)
-            if inside and np.min(_segment_distances(p, seg_a, seg_b)) >= 0.4 * target_h:
-                interior.append(p)
-    if interior:
-        interior = np.asarray(interior)
-        order = np.lexsort((interior[:, 0], interior[:, 1]))
-        pts = np.concatenate([boundary_pts, interior[order]])
-    else:
-        pts = boundary_pts
+        row = np.column_stack([x0 + np.arange(cols) * target_h, np.full(cols, ymin + r * dy)])
+        rel = row[:, None, :] - corners
+        inside = np.all(edges[:, 0] * rel[:, :, 1] - edges[:, 1] * rel[:, :, 0] > 0, axis=1)
+        clear = np.min(_segment_distances(row, seg_a, seg_b), axis=1) >= 0.4 * target_h
+        interior.append(row[inside & clear])
+    interior = np.concatenate(interior)
+    order = np.lexsort((interior[:, 0], interior[:, 1]))
+    pts = np.concatenate([boundary_pts, interior[order]])
 
-    tri = Delaunay(pts)
-    triangles = _orient_ccw(pts, tri.simplices.astype(np.int64))
+    triangles = Delaunay(pts).simplices.astype(np.int64)
+    # Delaunay closes the rounded, nearly collinear subdivision points of a
+    # slanted edge into zero-area slivers along the boundary: drop those.
+    # Any other degenerate triangle is still rejected below.
+    sliver = _flat(pts, _signed_areas(pts, triangles)) & np.all(
+        triangles < boundary_pts.shape[0], axis=1
+    )
+    triangles = _orient_ccw(pts, triangles[~sliver])
     return Mesh(pts, triangles, geometry=("polygon",))
 
 
 def refine(mesh: Mesh) -> Mesh:
     """Uniform midpoint refinement: every triangle becomes four.
 
-    For disk meshes the new boundary midpoints are projected radially back
-    onto the circle, so the boundary polygon converges to the circle under
-    repeated refinement.
+    New vertices are the edge midpoints, numbered in the order the edges
+    ``01, 12, 20`` of the triangles first meet them.  For disk meshes the
+    new boundary midpoints are projected radially back onto the circle, so
+    the boundary polygon converges to the circle under repeated refinement.
     """
-    v = mesh.vertices
-    new_vertices = [v]
-    midpoint_index: dict[tuple[int, int], int] = {}
-    next_index = v.shape[0]
-
-    boundary_keys = {tuple(sorted(map(int, e))) for e in mesh.boundary_edges}
-    is_disk = mesh.geometry[0] == "disk"
-    if is_disk:
+    v, t = mesh.vertices, mesh.triangles
+    edges = np.sort(t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    unique, first, inverse, counts = np.unique(
+        edges, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    number = np.empty(order.size, dtype=np.int64)
+    number[order] = np.arange(order.size) + v.shape[0]
+    ends = unique[order]
+    midpoints = 0.5 * (v[ends[:, 0]] + v[ends[:, 1]])
+    if mesh.geometry[0] == "disk":
         _, cx, cy, radius = mesh.geometry
         center = np.array([cx, cy])
-
-    midpoints = []
-
-    def midpoint(a: int, b: int) -> int:
-        nonlocal next_index
-        key = (a, b) if a < b else (b, a)
-        idx = midpoint_index.get(key)
-        if idx is None:
-            p = 0.5 * (v[a] + v[b])
-            if is_disk and key in boundary_keys:
-                d = p - center
-                p = center + d * (radius / np.hypot(*d))
-            midpoints.append(p)
-            idx = next_index
-            midpoint_index[key] = idx
-            next_index += 1
-        return idx
-
-    new_triangles = []
-    for t0, t1, t2 in mesh.triangles:
-        t0, t1, t2 = int(t0), int(t1), int(t2)
-        m01 = midpoint(t0, t1)
-        m12 = midpoint(t1, t2)
-        m20 = midpoint(t2, t0)
-        new_triangles.extend(
-            [(t0, m01, m20), (t1, m12, m01), (t2, m20, m12), (m01, m12, m20)]
-        )
-
-    new_vertices.append(np.asarray(midpoints))
-    return Mesh(np.concatenate(new_vertices), np.asarray(new_triangles, dtype=np.int64), mesh.geometry)
+        on_boundary = counts[order] == 1
+        d = midpoints[on_boundary] - center
+        midpoints[on_boundary] = center + d * (radius / np.hypot(d[:, 0], d[:, 1]))[:, None]
+    m01, m12, m20 = number[inverse.reshape(-1, 3)].T
+    t0, t1, t2 = t.T
+    triangles = np.stack(
+        [t0, m01, m20, t1, m12, m01, t2, m20, m12, m01, m12, m20], axis=1
+    ).reshape(-1, 3)
+    return Mesh(np.concatenate([v, midpoints]), triangles, mesh.geometry)
 
 
 def transform(mesh: Mesh, rotation: float = 0.0, offset=(0.0, 0.0), scale: float = 1.0) -> Mesh:

@@ -233,35 +233,42 @@ def _check_modes(m: int, limit: int, what: str):
         raise CapacityError(f"M={m} exceeds the {what} capacity {limit} of this mesh")
 
 
-def _dbs_spectrum_dense(ops, n_modes: int):
-    gram, _ = ops.boundary_forms
+def _boundary_spectrum(mesh, n_modes: int, method: str, form: int, apply, which: str):
+    """``n_modes`` extreme eigenpairs of ``W^-1/2 F W^-1/2``, ``W`` the boundary quadrature.
+
+    ``F`` is ``boundary_forms[form]`` (0: DBS Gram, 1: DtN Schur) for "dense"
+    and the matrix-free ``apply`` for "lanczos"; "auto" picks dense up to
+    ``_DENSE_BOUNDARY_LIMIT`` boundary nodes.  Eigenvalues come largest
+    first for ``which="LA"``, smallest first for ``"SA"``, with their
+    columns ``g`` (weights removed).
+    """
+    ops = operators(mesh)
+    nb = ops.boundary_idx.size
+    if method == "auto":
+        method = "dense" if nb <= _DENSE_BOUNDARY_LIMIT else "lanczos"
     sw = np.sqrt(ops.boundary_weights)
-    sym = gram / sw[:, None] / sw[None, :]
-    vals, vecs = sla.eigh(sym)
-    beta = vals[::-1][:n_modes]
-    g_cols = (vecs / sw[:, None])[:, ::-1][:, :n_modes]
-    return beta, g_cols
+    step = -1 if which == "LA" else 1
+    if method == "dense":
+        f = ops.boundary_forms[form]
+        # The Gram form is exactly symmetric already, so this is a no-op for it.
+        vals, vecs = sla.eigh(0.5 * (f + f.T) / sw[:, None] / sw[None, :])
+        order = slice(None, None, step)
+    elif method == "lanczos":
 
+        def matvec(y):
+            return sw * apply(mesh, BoundaryField(mesh, y / sw)).values
 
-def _dbs_spectrum_lanczos(mesh, ops, n_modes: int):
-    sw = np.sqrt(ops.boundary_weights)
-    nb = sw.size
-
-    def matvec(y):
-        g = BoundaryField(mesh, y / sw)
-        return sw * t_apply(mesh, g).values
-
-    op = spla.LinearOperator((nb, nb), matvec=matvec, dtype=float)
-    try:
-        vals, vecs = spla.eigsh(
-            op, k=n_modes, which="LA", tol=_EIG_TOL, v0=_start_vector(nb)
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise IterationLimitError(
-            "Lanczos iteration did not converge; partial results refused"
-        ) from exc
-    order = np.argsort(vals)[::-1]
-    return vals[order], (vecs / sw[:, None])[:, order]
+        op = spla.LinearOperator((nb, nb), matvec=matvec, dtype=float)
+        try:
+            vals, vecs = spla.eigsh(op, k=n_modes, which=which, tol=_EIG_TOL, v0=_start_vector(nb))
+        except spla.ArpackNoConvergence as exc:
+            raise IterationLimitError(
+                "Lanczos iteration did not converge; partial results refused"
+            ) from exc
+        order = np.argsort(vals)[::step]
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return vals[order][:n_modes], (vecs / sw[:, None])[:, order][:, :n_modes]
 
 
 def dbs_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") -> SpectralBasis:
@@ -284,16 +291,8 @@ def dbs_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") -> SpectralBa
         described on :class:`DbsEigenpair`.
     """
     ops = operators(mesh)
-    nb = ops.boundary_idx.size
-    _check_modes(n_modes, nb - 1, "boundary-node")
-    if method == "auto":
-        method = "dense" if nb <= _DENSE_BOUNDARY_LIMIT else "lanczos"
-    if method == "dense":
-        beta, g_cols = _dbs_spectrum_dense(ops, n_modes)
-    elif method == "lanczos":
-        beta, g_cols = _dbs_spectrum_lanczos(mesh, ops, n_modes)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    _check_modes(n_modes, ops.boundary_idx.size - 1, "boundary-node")
+    beta, g_cols = _boundary_spectrum(mesh, n_modes, method, 0, t_apply, "LA")
     if beta[-1] <= 0:
         raise IterationLimitError("eigensolver returned a nonpositive spectrum")
     q = 1.0 / beta
@@ -327,39 +326,8 @@ def harmonic_steklov_eigensolve(
     orthonormal in the normalized boundary inner product.
     """
     ops = operators(mesh)
-    nb = ops.boundary_idx.size
-    _check_modes(n_modes, nb, "boundary-node")
-    if method == "auto":
-        method = "dense" if nb <= _DENSE_BOUNDARY_LIMIT else "lanczos"
-    sw = np.sqrt(ops.boundary_weights)
-    if method == "dense":
-        _, schur = ops.boundary_forms
-        schur = 0.5 * (schur + schur.T)
-        sym = schur / sw[:, None] / sw[None, :]
-        vals, vecs = sla.eigh(sym)
-        delta = vals[:n_modes]
-        g_cols = (vecs / sw[:, None])[:, :n_modes]
-    elif method == "lanczos":
-
-        def matvec(y):
-            g = BoundaryField(mesh, y / sw)
-            return sw * dtn_apply(mesh, g).values
-
-        op = spla.LinearOperator((nb, nb), matvec=matvec, dtype=float)
-        try:
-            vals, vecs = spla.eigsh(
-                op, k=n_modes, which="SA", tol=_EIG_TOL, v0=_start_vector(nb)
-            )
-        except spla.ArpackNoConvergence as exc:
-            raise IterationLimitError(
-                "Lanczos iteration did not converge; partial results refused"
-            ) from exc
-        order = np.argsort(vals)
-        delta = vals[order]
-        g_cols = (vecs / sw[:, None])[:, order]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    _check_modes(n_modes, ops.boundary_idx.size, "boundary-node")
+    delta, g_cols = _boundary_spectrum(mesh, n_modes, method, 1, dtn_apply, "SA")
     if delta[0] < -1e-8 * max(abs(delta[-1]), 1.0):
         raise IterationLimitError("Dirichlet-to-Neumann spectrum came out negative")
     delta = np.maximum(delta, 0.0)

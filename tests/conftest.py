@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from steklovsvd import (
     build_polygon_mesh,
@@ -9,6 +10,11 @@ from steklovsvd import (
 )
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+# Property tests draw the same examples on every run (seeded from each
+# test), and no example is failed for its running time.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

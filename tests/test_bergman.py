@@ -98,6 +98,26 @@ class TestReproducingKernel:
         eigs = np.linalg.eigvalsh(kernel.gram(pts))
         assert eigs.min() >= -1e-8
 
+    def test_gram_equals_stacked_point_values(self, disk_mid_basis):
+        # One batched interpolation gives exactly the per-point rows, repeated
+        # and already cached points included.
+        rng = np.random.default_rng(10)
+        pts = rng.uniform(-0.6, 0.6, size=(40, 2))
+        pts = np.concatenate([pts, pts[:5], disk_mid_basis.mesh.vertices[:3]])
+        kernel = TruncatedKernel(disk_mid_basis, 25)
+        rows = np.stack([TruncatedKernel(disk_mid_basis, 25)._mode_values(p) for p in pts])
+        kernel._mode_values(pts[7])
+        assert np.array_equal(kernel.gram(pts), rows @ rows.T)
+        assert kernel.eval(pts[1], pts[2]) == float(rows[1] @ rows[2])
+
+    def test_gram_with_one_outside_point_raises(self, disk_mid_basis):
+        kernel = TruncatedKernel(disk_mid_basis)
+        pts = [(0.1, 0.2), (0.0, 0.0), (3.0, 0.5), (-0.4, 0.1)]
+        with pytest.raises(OutsideDomainError):
+            kernel.gram(pts)
+        with pytest.raises(OutsideDomainError, match="margin"):
+            kernel.gram([(0.1, 0.2), (0.999, 0.0)])
+
     def test_delta_property_on_harmonic_polynomial(self, disk_mid_basis):
         # integral of R_M(x0, .) k against the area measure reproduces k(x0)
         mesh = disk_mid_basis.mesh
