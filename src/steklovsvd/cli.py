@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -163,7 +164,12 @@ def _build_parser(cfg: dict) -> argparse.ArgumentParser:
 
 def _load_table(path, what, **kwargs) -> np.ndarray:
     try:
-        return np.loadtxt(path, **kwargs)
+        with warnings.catch_warnings():
+            # A file without data is an input error, not a warning and an empty table.
+            warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(path, **kwargs)
+    except UserWarning as exc:
+        raise InputError(f"{what} file {path} contains no data") from exc
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {what} file: {exc}") from exc
 
@@ -219,8 +225,12 @@ def _load_basis(args):
         raise InputError(f"cannot read basis file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"basis file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError("basis file must contain a JSON object")
     if args.mesh:
         mesh = _read_mesh_file(args.mesh)
+    elif "domain" not in data:
+        raise InputError("basis file has no 'domain' entry")
     else:
         mesh = _rebuild_from_descriptor(data["domain"])
         if mesh is None:
@@ -229,6 +239,8 @@ def _load_basis(args):
             )
     try:
         return basis_from_json_dict(data, mesh)
+    except KeyError as exc:
+        raise InputError(f"basis file has no {exc} entry") from exc
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 

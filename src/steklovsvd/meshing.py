@@ -73,6 +73,27 @@ def _flat(vertices: np.ndarray, areas: np.ndarray) -> np.ndarray:
     return np.abs(areas) <= 1e-14 * max(scale, 1.0) ** 2
 
 
+def _edge_table(triangles: np.ndarray, n_vertices: int):
+    """Unique edges of a triangulation, keyed by one integer per edge.
+
+    Returns ``(edges, first, inverse, counts)``: ``edges`` (3t, 2) holds the
+    edges ``01, 12, 20`` of each triangle in turn, each ``(lo, hi)``; the
+    rest is ``np.unique``'s table of those rows, taken on the scalar key
+    ``lo * n_vertices + hi``, which sorts in the rows' lexicographic order
+    (a 1-d integer sort; numpy sorts 2-d rows as opaque records, far slower).
+    """
+    a = triangles.ravel()
+    b = triangles[:, [1, 2, 0]].ravel()
+    edges = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
+    _, first, inverse, counts = np.unique(
+        edges[:, 0] * n_vertices + edges[:, 1],
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    return edges, first, inverse, counts
+
+
 def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Swap vertices of clockwise triangles in place; reject degenerate ones."""
     areas = _signed_areas(vertices, triangles)
@@ -178,50 +199,45 @@ class Mesh:
     def _extract_boundary(self):
         """Find boundary edges (owned by exactly one triangle) and chain loops."""
         t = self.triangles
-        edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        owner = np.tile(np.arange(t.shape[0]), 3)
-        key = np.sort(edges, axis=1)
-        _, inverse, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
+        n = self.vertices.shape[0]
+        _, _, inverse, counts = _edge_table(t, n)
         if np.any(counts > 2):
             raise ValueError("non-manifold edge: shared by more than two triangles")
-        on_boundary = counts[inverse] == 1
-        bedges = edges[on_boundary]
-        bowner = owner[on_boundary]
+        # Edge i (triangle-major, 01 12 20) runs from t.flat[i] in triangle i // 3.
+        on_boundary = np.flatnonzero(counts[inverse] == 1)
+        starts = t.ravel()[on_boundary]
+        ends = t[:, [1, 2, 0]].ravel()[on_boundary]
+        # Each boundary node must start one boundary edge and end one, so
+        # following the edges from any node closes a simple loop.
+        sorted_starts = np.sort(starts)
+        if np.any(sorted_starts[1:] == sorted_starts[:-1]) or not np.array_equal(
+            sorted_starts, np.sort(ends)
+        ):
+            raise ValueError("boundary is not a disjoint union of simple loops")
+        nxt = np.empty(n, dtype=np.int64)
+        nxt[starts] = ends
+        owner_of_start = np.empty(n, dtype=np.int64)
+        owner_of_start[starts] = on_boundary // 3
 
-        nxt = {}
-        edge_owner = {}
-        for (a, b), tri in zip(bedges, bowner):
-            a, b = int(a), int(b)
-            if a in nxt:
-                raise ValueError("boundary is not a disjoint union of simple loops")
-            nxt[a] = b
-            edge_owner[(a, b)] = int(tri)
-
+        # Each loop starts at its smallest node; loops in order of that node.
+        follow = dict(zip(starts.tolist(), ends.tolist()))
+        seen = set()
         loops = []
-        remaining = set(nxt)
-        while remaining:
-            start = min(remaining)
+        for start in sorted_starts.tolist():
+            if start in seen:
+                continue
             loop = [start]
-            remaining.discard(start)
-            cur = nxt[start]
+            cur = follow[start]
             while cur != start:
                 loop.append(cur)
-                remaining.discard(cur)
-                cur = nxt[cur]
+                cur = follow[cur]
+            seen.update(loop)
             loops.append(np.array(loop, dtype=np.int64))
-        loops.sort(key=lambda lp: int(lp[0]))
 
         self.boundary_loops = loops
         self.boundary_nodes = np.concatenate(loops)
-
-        edge_list = []
-        owners = []
-        for loop in loops:
-            pairs = np.stack([loop, np.roll(loop, -1)], axis=1)
-            edge_list.append(pairs)
-            owners.extend(edge_owner[(int(a), int(b))] for a, b in pairs)
-        self.boundary_edges = np.concatenate(edge_list)
-        self._edge_owner_triangle = np.array(owners, dtype=np.int64)
+        self.boundary_edges = np.stack([self.boundary_nodes, nxt[self.boundary_nodes]], axis=1)
+        self._edge_owner_triangle = owner_of_start[self.boundary_nodes]
 
         a = self.vertices[self.boundary_edges[:, 0]]
         b = self.vertices[self.boundary_edges[:, 1]]
@@ -340,7 +356,8 @@ class Mesh:
         for i in np.flatnonzero(tri < 0):
             self._place(points, np.full(all_triangles.size, i), all_triangles, tri, lam)
             if tri[i] < 0:
-                raise OutsideDomainError(f"point {tuple(points[i])} lies outside the mesh")
+                point = tuple(points[i].tolist())
+                raise OutsideDomainError(f"point {point} lies outside the mesh")
         return tri, lam
 
     def locate(self, point) -> tuple[int, np.ndarray]:
@@ -481,17 +498,17 @@ def build_polygon_mesh(vertices, target_h: float) -> Mesh:
     xmax, ymax = corners.max(axis=0)
     dy = target_h * math.sqrt(3.0) / 2.0
     rows = int(math.floor((ymax - ymin) / dy)) + 1
-    seg_a = boundary_pts
-    seg_b = np.roll(boundary_pts, -1, axis=0)
     interior = []
     for r in range(rows):
-        # One lattice row at a time: the temporaries are cols x boundary segments.
+        # One lattice row at a time: the temporaries are cols x polygon edges.
         x0 = xmin + (target_h / 2.0 if r % 2 else 0.0)
         cols = int(math.floor((xmax - x0) / target_h)) + 1
         row = np.column_stack([x0 + np.arange(cols) * target_h, np.full(cols, ymin + r * dy)])
         rel = row[:, None, :] - corners
         inside = np.all(edges[:, 0] * rel[:, :, 1] - edges[:, 1] * rel[:, :, 0] > 0, axis=1)
-        clear = np.min(_segment_distances(row, seg_a, seg_b), axis=1) >= 0.4 * target_h
+        # Inside a convex polygon the distance to the boundary is the least
+        # distance to its edges, so the k edges stand in for their subdivisions.
+        clear = np.min(_segment_distances(row, corners, nxt), axis=1) >= 0.4 * target_h
         interior.append(row[inside & clear])
     interior = np.concatenate(interior)
     order = np.lexsort((interior[:, 0], interior[:, 1]))
@@ -517,14 +534,11 @@ def refine(mesh: Mesh) -> Mesh:
     the boundary polygon converges to the circle under repeated refinement.
     """
     v, t = mesh.vertices, mesh.triangles
-    edges = np.sort(t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    unique, first, inverse, counts = np.unique(
-        edges, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
+    edges, first, inverse, counts = _edge_table(t, v.shape[0])
     order = np.argsort(first)
     number = np.empty(order.size, dtype=np.int64)
     number[order] = np.arange(order.size) + v.shape[0]
-    ends = unique[order]
+    ends = edges[first[order]]
     midpoints = 0.5 * (v[ends[:, 0]] + v[ends[:, 1]])
     if mesh.geometry[0] == "disk":
         _, cx, cy, radius = mesh.geometry
@@ -589,33 +603,32 @@ def read_mesh_text(text: str) -> Mesh:
         pos += 1
         return line
 
-    head = take().split()
-    if head[0] != "nodes":
-        raise ValueError("mesh text must start with a 'nodes' header")
-    n = int(head[1])
+    def header(name: str) -> int:
+        """Count on the next line, which must read ``<name> <count>``."""
+        line = take()
+        words = line.split()
+        if len(words) != 2 or words[0] != name or not words[1].isdigit():
+            raise ValueError(f"expected a '{name} <count>' header, got {line!r}")
+        # Each counted item takes at least one character of the text.
+        if int(words[1]) > len(text):
+            raise ValueError(f"'{name}' count {words[1]} exceeds the mesh text")
+        return int(words[1])
+
+    n = header("nodes")
     vertices = np.empty((n, 2))
     flags = np.empty(n, dtype=int)
     for i in range(n):
         x, y, fb = take().split()
         vertices[i] = (float(x), float(y))
         flags[i] = int(fb)
-    head = take().split()
-    if head[0] != "triangles":
-        raise ValueError("expected 'triangles' header")
-    t = int(head[1])
+    t = header("triangles")
     triangles = np.empty((t, 3), dtype=np.int64)
     for i in range(t):
         triangles[i] = [int(w) for w in take().split()]
-    head = take().split()
-    if head[0] != "boundary_loops":
-        raise ValueError("expected 'boundary_loops' header")
-    n_loops = int(head[1])
+    n_loops = header("boundary_loops")
     loops = []
     for _ in range(n_loops):
-        head = take().split()
-        if head[0] != "loop":
-            raise ValueError("expected 'loop' header")
-        length = int(head[1])
+        length = header("loop")
         idx = [int(w) for w in take().split()]
         if len(idx) != length:
             raise ValueError("loop length mismatch")

@@ -86,8 +86,15 @@ def _boundary_node_index(svd: PoissonSvd, z) -> int:
     idx = int(np.argmin(dist))
     diameter = mesh.vertices.max() - mesh.vertices.min()
     if dist[idx] > 1e-8 * max(diameter, 1.0):
-        raise OutsideDomainError(f"{tuple(z)} is not a boundary node of the mesh")
+        raise OutsideDomainError(f"{tuple(z.tolist())} is not a boundary node of the mesh")
     return idx
+
+
+def _require_boundary_margin(mesh, x) -> None:
+    """Raise unless ``x`` keeps one element diameter from the boundary."""
+    if mesh.distance_to_boundary(x) < mesh.max_edge_length:
+        point = tuple(np.asarray(x, dtype=float).tolist())
+        raise OutsideDomainError(f"point {point} is within the boundary margin")
 
 
 def poisson_kernel_eval(svd: PoissonSvd, m: int | None, x, z) -> float:
@@ -99,9 +106,7 @@ def poisson_kernel_eval(svd: PoissonSvd, m: int | None, x, z) -> float:
     basis = svd.basis
     m = basis.truncation_rank(m)
     mesh = basis.mesh
-    margin = mesh.max_edge_length
-    if mesh.distance_to_boundary(x) < margin:
-        raise OutsideDomainError(f"point {tuple(np.asarray(x))} is within the boundary margin")
+    _require_boundary_margin(mesh, x)
     hx = interpolate_values(mesh, basis.h_matrix[:, :m], x)[0]
     wz = basis.w_matrix[_boundary_node_index(svd, z), :m]
     return float(np.sum(hx * wz / np.sqrt(svd.boundary_length * basis.q[:m])))
@@ -116,9 +121,7 @@ def kernel_slice(svd: PoissonSvd, x, m: int | None = None):
     basis = svd.basis
     m = basis.truncation_rank(m)
     mesh = basis.mesh
-    margin = mesh.max_edge_length
-    if mesh.distance_to_boundary(x) < margin:
-        raise OutsideDomainError(f"point {tuple(np.asarray(x))} is within the boundary margin")
+    _require_boundary_margin(mesh, x)
     hx = interpolate_values(mesh, basis.h_matrix[:, :m], x)[0]
     weights = hx / np.sqrt(svd.boundary_length * basis.q[:m])
     values = basis.w_matrix[:, :m] @ weights

@@ -204,10 +204,25 @@ class TestVerifyCommand:
         assert "measured=" in out and "allowed=" in out
 
 
-class TestInputFileErrors:
-    BAD_CONTENT = {"malformed": "0 0\n1 x\n", "wrong_length": "0 0 0\n1 0 0\n1 1 0\n"}
+def assert_one_input_error(code, capsys, recwarn, out):
+    """Exit 1, one ``error:`` line, no traceback or warning, and no output file."""
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
+    assert not out.exists()
 
-    @pytest.mark.parametrize("problem", ["missing", "malformed", "wrong_length"])
+
+class TestInputFileErrors:
+    BAD_CONTENT = {
+        "malformed": "0 0\n1 x\n",
+        "wrong_length": "0 0 0\n1 0 0\n1 1 0\n",
+        "empty": "",
+    }
+
+    @pytest.mark.parametrize("problem", ["missing", "malformed", "wrong_length", "empty"])
     @pytest.mark.parametrize(
         "command",
         [
@@ -217,14 +232,41 @@ class TestInputFileErrors:
         ],
         ids=["g-file", "f-file", "vertices-file"],
     )
-    def test_one_error_line_and_exit_one(self, tmp_path, basis_file, capsys, problem, command):
+    def test_one_error_line_and_exit_one(
+        self, tmp_path, basis_file, capsys, recwarn, problem, command
+    ):
         data = tmp_path / "data.txt"
         if problem != "missing":
             data.write_text(self.BAD_CONTENT[problem])
         argv = [a.format(basis=basis_file, data=data) for a in command]
-        assert run(argv + ["--out", tmp_path / "out"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.count("error:") == 1
-        assert captured.err.startswith("error: ")
-        assert "Traceback" not in captured.err
-        assert not (tmp_path / "out").exists()
+        code = run(argv + ["--out", tmp_path / "out"])
+        assert_one_input_error(code, capsys, recwarn, tmp_path / "out")
+
+
+class TestMeshAndBasisFileErrors:
+    BAD_FILES = {
+        "mesh_header_without_count": ("mesh", "nodes\n"),
+        "mesh_count_not_a_number": ("mesh", "nodes x\n"),
+        "mesh_truncated": ("mesh", "nodes 3\n0 0 1\n1 0 1\n"),
+        "mesh_count_too_large": ("mesh", "nodes 100000000000\n0 0 1\n"),
+        "basis_not_json": ("basis", "{not json"),
+        "basis_a_list": ("basis", "[1,2]"),
+        "basis_empty_object": ("basis", "{}"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_FILES))
+    def test_one_error_line_and_exit_one(self, tmp_path, capsys, recwarn, case):
+        kind, text = self.BAD_FILES[case]
+        bad = tmp_path / "bad"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        if kind == "mesh":
+            argv = ["dbs", "--mesh", bad, "--modes", "3", "--out", out]
+        else:
+            argv = ["kernel", "--basis", bad, "--x", "0,0", "--out", out]
+        assert_one_input_error(run(argv), capsys, recwarn, out)
+
+    def test_outside_point_prints_plain_floats(self, tmp_path, basis_file, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["kernel", "--basis", basis_file, "--x", "5,5", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: point (5.0, 5.0) lies outside the mesh\n"

@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 from steklovsvd import (
     build_disk_mesh,
@@ -18,7 +19,14 @@ from steklovsvd import (
 )
 from steklovsvd.errors import OutsideDomainError
 from steklovsvd.fem import interpolate_values
-from steklovsvd.meshing import Mesh, boundary_polygon_measures
+from steklovsvd.meshing import (
+    Mesh,
+    _flat,
+    _orient_ccw,
+    _segment_distances,
+    _signed_areas,
+    boundary_polygon_measures,
+)
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -203,6 +211,15 @@ class TestTextFormat:
         x, y, flag = lines[1].split()
         lines[1] = f"{x} {y} {1 - int(flag)}"
         with pytest.raises(ValueError):
+            read_mesh_text("\n".join(lines))
+
+    @pytest.mark.parametrize("name", ["nodes", "triangles", "boundary_loops", "loop"])
+    @pytest.mark.parametrize("count", ["", " x", " -1"], ids=["no_count", "word", "negative"])
+    def test_bad_header_names_the_header(self, name, count):
+        lines = write_mesh_text(build_polygon_mesh(UNIT_SQUARE, 0.5)).splitlines()
+        i = next(k for k, line in enumerate(lines) if line.split()[0] == name)
+        lines[i] = name + count
+        with pytest.raises(ValueError, match=f"^expected a '{name} <count>' header"):
             read_mesh_text("\n".join(lines))
 
 
@@ -450,6 +467,7 @@ class TestPolygonMeshSlantedEdges:
     def test_convex_polygon_meshes(self, corners, h):
         mesh = build_polygon_mesh(corners, h)
         mesh.validate()
+        assert_same_mesh(mesh, ref_build_polygon_mesh(corners, h))
         assert mesh.area == pytest.approx(polygon_shoelace(corners), rel=1e-12)
         assert np.array_equal(np.unique(mesh.triangles), np.arange(mesh.vertices.shape[0]))
 
@@ -457,3 +475,210 @@ class TestPolygonMeshSlantedEdges:
         mesh = build_polygon_mesh(self.PINNED_7GON, 0.05)
         assert mesh.area == pytest.approx(polygon_shoelace(self.PINNED_7GON), rel=1e-12)
         assert np.array_equal(np.unique(mesh.triangles), np.arange(mesh.vertices.shape[0]))
+
+
+# -- the edge table and the polygon builder against the void-row versions --------------
+#
+# `Mesh._extract_boundary` and `build_polygon_mesh` as they were before the
+# integer-keyed edge table and the clearance against the polygon's own
+# edges, copied unchanged (the method made a function of a namespace
+# holding the mesh arrays).
+
+
+def ref_extract_boundary(vertices, triangles):
+    self = SimpleNamespace(
+        vertices=np.asarray(vertices, dtype=float),
+        triangles=np.asarray(triangles, dtype=np.int64),
+    )
+    t = self.triangles
+    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    owner = np.tile(np.arange(t.shape[0]), 3)
+    key = np.sort(edges, axis=1)
+    _, inverse, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
+    if np.any(counts > 2):
+        raise ValueError("non-manifold edge: shared by more than two triangles")
+    on_boundary = counts[inverse] == 1
+    bedges = edges[on_boundary]
+    bowner = owner[on_boundary]
+
+    nxt = {}
+    edge_owner = {}
+    for (a, b), tri in zip(bedges, bowner):
+        a, b = int(a), int(b)
+        if a in nxt:
+            raise ValueError("boundary is not a disjoint union of simple loops")
+        nxt[a] = b
+        edge_owner[(a, b)] = int(tri)
+
+    loops = []
+    remaining = set(nxt)
+    while remaining:
+        start = min(remaining)
+        loop = [start]
+        remaining.discard(start)
+        cur = nxt[start]
+        while cur != start:
+            loop.append(cur)
+            remaining.discard(cur)
+            cur = nxt[cur]
+        loops.append(np.array(loop, dtype=np.int64))
+    loops.sort(key=lambda lp: int(lp[0]))
+
+    self.boundary_loops = loops
+    self.boundary_nodes = np.concatenate(loops)
+
+    edge_list = []
+    owners = []
+    for loop in loops:
+        pairs = np.stack([loop, np.roll(loop, -1)], axis=1)
+        edge_list.append(pairs)
+        owners.extend(edge_owner[(int(a), int(b))] for a, b in pairs)
+    self.boundary_edges = np.concatenate(edge_list)
+    self._edge_owner_triangle = np.array(owners, dtype=np.int64)
+
+    a = self.vertices[self.boundary_edges[:, 0]]
+    b = self.vertices[self.boundary_edges[:, 1]]
+    tangent = b - a
+    self.edge_weights = np.hypot(tangent[:, 0], tangent[:, 1])
+    # For counterclockwise loops the outward normal is the tangent rotated -90deg.
+    self.normals = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / self.edge_weights[:, None]
+
+    weights = np.zeros(self.vertices.shape[0])
+    np.add.at(weights, self.boundary_edges[:, 0], 0.5 * self.edge_weights)
+    np.add.at(weights, self.boundary_edges[:, 1], 0.5 * self.edge_weights)
+    self.boundary_weights = weights[self.boundary_nodes]
+    return self
+
+
+def ref_build_polygon_mesh(vertices, target_h: float) -> Mesh:
+    corners = np.asarray(vertices, dtype=float)
+    if corners.ndim != 2 or corners.shape[1] != 2 or corners.shape[0] < 3:
+        raise ValueError("polygon needs at least 3 planar vertices")
+    if not target_h > 0:
+        raise ValueError(f"target_h must be positive, got {target_h}")
+    nxt = np.roll(corners, -1, axis=0)
+    signed_area = 0.5 * float(np.sum(corners[:, 0] * nxt[:, 1] - nxt[:, 0] * corners[:, 1]))
+    if signed_area <= 0:
+        raise ValueError(
+            "polygon must be simple with counterclockwise orientation "
+            f"(signed area {signed_area!r})"
+        )
+    edges = nxt - corners
+    prev_edges = np.roll(edges, 1, axis=0)
+    cross = prev_edges[:, 0] * edges[:, 1] - prev_edges[:, 1] * edges[:, 0]
+    if np.any(cross <= 0):
+        raise ValueError("convexity required: input polygon is not strictly convex")
+
+    boundary_pts = []
+    for a, b in zip(corners, nxt):
+        n_seg = max(1, int(math.ceil(np.hypot(*(b - a)) / target_h)))
+        boundary_pts.append(a + (b - a) * (np.arange(n_seg) / n_seg)[:, None])
+    boundary_pts = np.concatenate(boundary_pts)
+
+    xmin, ymin = corners.min(axis=0)
+    xmax, ymax = corners.max(axis=0)
+    dy = target_h * math.sqrt(3.0) / 2.0
+    rows = int(math.floor((ymax - ymin) / dy)) + 1
+    seg_a = boundary_pts
+    seg_b = np.roll(boundary_pts, -1, axis=0)
+    interior = []
+    for r in range(rows):
+        # One lattice row at a time: the temporaries are cols x boundary segments.
+        x0 = xmin + (target_h / 2.0 if r % 2 else 0.0)
+        cols = int(math.floor((xmax - x0) / target_h)) + 1
+        row = np.column_stack([x0 + np.arange(cols) * target_h, np.full(cols, ymin + r * dy)])
+        rel = row[:, None, :] - corners
+        inside = np.all(edges[:, 0] * rel[:, :, 1] - edges[:, 1] * rel[:, :, 0] > 0, axis=1)
+        clear = np.min(_segment_distances(row, seg_a, seg_b), axis=1) >= 0.4 * target_h
+        interior.append(row[inside & clear])
+    interior = np.concatenate(interior)
+    order = np.lexsort((interior[:, 0], interior[:, 1]))
+    pts = np.concatenate([boundary_pts, interior[order]])
+
+    triangles = Delaunay(pts).simplices.astype(np.int64)
+    # Delaunay closes the rounded, nearly collinear subdivision points of a
+    # slanted edge into zero-area slivers along the boundary: drop those.
+    # Any other degenerate triangle is still rejected below.
+    sliver = _flat(pts, _signed_areas(pts, triangles)) & np.all(
+        triangles < boundary_pts.shape[0], axis=1
+    )
+    triangles = _orient_ccw(pts, triangles[~sliver])
+    return Mesh(pts, triangles, geometry=("polygon",))
+
+
+BOUNDARY_ARRAYS = (
+    "boundary_nodes",
+    "boundary_edges",
+    "_edge_owner_triangle",
+    "edge_weights",
+    "boundary_weights",
+    "normals",
+)
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("variant", ["as_built", "refined", "transformed"])
+    @pytest.mark.parametrize("name", sorted(REFINE_CASES))
+    def test_boundary_matches_reference(self, name, variant):
+        mesh = REFINE_CASES[name]()
+        if variant == "refined":
+            mesh = refine(mesh)
+        elif variant == "transformed":
+            mesh = transform(mesh, 0.4, (1.0, -2.0), 0.6)
+        ref = ref_extract_boundary(mesh.vertices, mesh.triangles)
+        assert len(mesh.boundary_loops) == len(ref.boundary_loops)
+        for loop, ref_loop in zip(mesh.boundary_loops, ref.boundary_loops):
+            assert loop.dtype == ref_loop.dtype and np.array_equal(loop, ref_loop)
+        for attr in BOUNDARY_ARRAYS:
+            got, want = getattr(mesh, attr), getattr(ref, attr)
+            assert got.dtype == want.dtype and np.array_equal(got, want), attr
+
+    def test_two_loops_in_order_of_their_smallest_node(self):
+        # Two separate squares, the second numbered below the first.
+        vertices = [(10, 0), (11, 0), (11, 1), (10, 1), (0, 0), (1, 0), (1, 1), (0, 1)]
+        triangles = [(0, 1, 2), (0, 2, 3), (4, 5, 6), (4, 6, 7)]
+        mesh = Mesh(vertices, triangles)
+        ref = ref_extract_boundary(vertices, triangles)
+        assert [lp.tolist() for lp in mesh.boundary_loops] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        assert [lp.tolist() for lp in ref.boundary_loops] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        for attr in BOUNDARY_ARRAYS:
+            assert np.array_equal(getattr(mesh, attr), getattr(ref, attr)), attr
+
+    @pytest.mark.parametrize(
+        "vertices, triangles, message",
+        [
+            # Three triangles on the edge (0, 1).
+            (
+                [(0, 0), (1, 0), (0.5, 1), (0.5, 2), (0.5, -1)],
+                [(0, 1, 2), (0, 1, 3), (1, 0, 4)],
+                "non-manifold edge: shared by more than two triangles",
+            ),
+            # Bowtie: two triangles that share only vertex 0.
+            (
+                [(0, 0), (1, 0), (1, 1), (-1, 0), (-1, -1)],
+                [(0, 1, 2), (0, 3, 4)],
+                "boundary is not a disjoint union of simple loops",
+            ),
+        ],
+        ids=["non_manifold", "bowtie"],
+    )
+    def test_topology_errors_keep_their_messages(self, vertices, triangles, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ref_extract_boundary(vertices, triangles)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Mesh(vertices, triangles)
+
+
+POLYGON_CASES = {
+    "slanted": (SLANTED, 0.02),
+    "unit_square": (UNIT_SQUARE, 0.02),
+    "pinned_7gon": (TestPolygonMeshSlantedEdges.PINNED_7GON, 0.02),
+    "rectangle_3_2": ([(0, 0), (1.5, 0), (1.5, 1), (0, 1)], 0.02),
+}
+
+
+class TestPolygonClearance:
+    @pytest.mark.parametrize("name", sorted(POLYGON_CASES))
+    def test_matches_reference(self, name):
+        corners, h = POLYGON_CASES[name]
+        assert_same_mesh(build_polygon_mesh(corners, h), ref_build_polygon_mesh(corners, h))

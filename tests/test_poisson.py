@@ -137,9 +137,10 @@ class TestKernelEvaluation:
             assert val == pytest.approx(exact, rel=0.05)
 
     def test_domain_errors(self, disk_svd):
-        with pytest.raises(OutsideDomainError):
+        # The messages print the points as plain floats, not numpy reprs.
+        with pytest.raises(OutsideDomainError, match=r"^point \(0\.999, 0\.0\) is within"):
             poisson_kernel_eval(disk_svd, 5, (0.999, 0.0), (1.0, 0.0))
-        with pytest.raises(OutsideDomainError):
+        with pytest.raises(OutsideDomainError, match=r"^\(0\.7, 0\.7\) is not a boundary node"):
             poisson_kernel_eval(disk_svd, 5, (0.2, 0.0), (0.7, 0.7))
 
     def test_slice_and_csv(self, disk_svd):
