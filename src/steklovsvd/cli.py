@@ -202,18 +202,26 @@ def _domain_mesh(args) -> tuple[Mesh, str]:
     return mesh, f"polygon;h={fmt_float(args.h)};vertices={packed}"
 
 
-def _rebuild_from_descriptor(descriptor: str) -> Mesh | None:
+def _rebuild_from_descriptor(descriptor) -> Mesh | None:
+    """The mesh a basis file's ``domain`` entry describes; ``None`` for a mesh file."""
+    if not isinstance(descriptor, str):
+        raise InputError(f"basis file's 'domain' entry must be a string, got {descriptor!r}")
     fields = dict(
         part.split("=", 1) for part in descriptor.split(";")[1:] if "=" in part
     )
     kind = descriptor.split(";", 1)[0]
-    if kind == "disk":
-        return disk_mesh(float(fields["radius"]), float(fields["h"]))
-    if kind == "polygon":
-        pts = np.array(
-            [[float(t) for t in pair.split()] for pair in fields["vertices"].split(",")]
-        )
-        return build_polygon_mesh(pts, float(fields["h"]))
+    try:
+        if kind == "disk":
+            return disk_mesh(float(fields["radius"]), float(fields["h"]))
+        if kind == "polygon":
+            pts = np.array(
+                [[float(t) for t in pair.split()] for pair in fields["vertices"].split(",")]
+            )
+            return build_polygon_mesh(pts, float(fields["h"]))
+    except KeyError as exc:
+        raise InputError(f"basis file's 'domain' entry {descriptor!r} has no {exc} field") from exc
+    except ValueError as exc:
+        raise InputError(f"basis file's 'domain' entry {descriptor!r} is invalid: {exc}") from exc
     return None
 
 

@@ -120,7 +120,7 @@ class BoundaryField:
         return self.norm_dsigma() / np.sqrt(self.mesh.boundary_length)
 
 
-# Boundary columns per block in ``AssembledOperators.boundary_forms``: the
+# Boundary columns per block in ``AssembledOperators.boundary_form``: the
 # solver's right-hand side and each mass product stay ``n x 64``.
 _FORM_BLOCK = 64
 
@@ -136,9 +136,9 @@ class AssembledOperators:
     * ``interior_lu``, the sparse LU of the interior stiffness block,
       behind every Dirichlet solve, harmonic extension and the
       shift-invert Dirichlet eigensolve;
-    * ``boundary_forms``, the ``nb x nb`` Gram and Schur forms of the
-      harmonic extension that the dense DBS and DtN eigensolvers read
-      (``2 nb**2`` floats, with ``nb`` boundary nodes).
+    * the ``nb x nb`` Gram and Schur forms of the harmonic extension
+      (:meth:`boundary_form`) that the dense DBS and DtN eigensolvers
+      read (``nb**2`` floats each, with ``nb`` boundary nodes).
 
     Instances are immutable and safe to share between threads.  They keep
     no reference to the mesh, so the per-mesh cache in :func:`operators`
@@ -182,6 +182,7 @@ class AssembledOperators:
         self.boundary_idx = mesh.boundary_nodes
         self.boundary_weights = mesh.boundary_weights
         self.boundary_length = mesh.boundary_length
+        self._forms: dict[str, np.ndarray] = {}
 
     @cached_property
     def stiffness_ib(self) -> sp.csr_matrix:
@@ -192,35 +193,61 @@ class AssembledOperators:
         a_ii = self.stiffness[self.interior_idx][:, self.interior_idx].tocsc()
         return splu(a_ii)
 
-    @cached_property
-    def boundary_forms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gram form ``E^T M E`` and Schur form ``K[b] E``, both ``nb x nb``.
+    @property
+    def interior_nnz(self) -> int:
+        """Stored entries of the interior stiffness block, known before ``interior_lu``."""
+        rows = np.diff(self.stiffness.indptr)[self.interior_idx].sum()
+        return int(rows) - self.stiffness_ib.nnz
+
+    def has_boundary_form(self, kind: str) -> bool:
+        """Whether :meth:`boundary_form` ``kind`` is built already."""
+        return kind in self._forms
+
+    def boundary_form(self, kind: str) -> np.ndarray:
+        """Gram form ``E^T M E`` (``"gram"``) or Schur form ``K[b] E`` (``"schur"``).
 
         ``E`` is the discrete harmonic extension of the boundary identity
-        (column ``j`` extends the unit vector of boundary node ``j``).  It
-        is solved, and the Gram form multiplied out, ``_FORM_BLOCK``
-        columns at a time, so ``E`` is the one ``n x nb`` array alive; it
-        is dropped on return and only the two read-only forms are kept.
-        The Gram form is computed on and below its diagonal and mirrored,
-        so it is exactly symmetric.  The Schur form is the stiffness
-        matrix's boundary rows applied to ``E``.
+        (column ``j`` extends the unit vector of boundary node ``j``).  Both
+        forms are ``nb x nb``, read-only and built at most once.  ``E`` is
+        solved ``_FORM_BLOCK`` columns at a time, and the Schur form (the
+        stiffness matrix's boundary rows applied to ``E``) taken block by
+        block, so it alone never holds more of ``E``.  The Gram form needs
+        all of ``E`` (``n x nb``, dropped on return); it is multiplied out
+        on and below its diagonal and mirrored, so it is exactly
+        symmetric, and its extension also yields the Schur form.
         """
+        if kind not in ("gram", "schur"):
+            raise ValueError(f"unknown boundary form {kind!r}")
+        if kind not in self._forms:
+            for name, form in self._extend_identity(gram=kind == "gram").items():
+                form.setflags(write=False)
+                self._forms.setdefault(name, form)
+        return self._forms[kind]
+
+    def _extend_identity(self, gram: bool) -> dict[str, np.ndarray]:
         nb = self.boundary_idx.size
         blocks = [slice(s, min(s + _FORM_BLOCK, nb)) for s in range(0, nb, _FORM_BLOCK)]
-        ext = np.empty((self.n_vertices, nb))
-        for cols in blocks:
+        k_b = self.stiffness[self.boundary_idx]
+
+        def extend(cols):
             unit = np.zeros((nb, cols.stop - cols.start))
             unit[cols] = np.eye(cols.stop - cols.start)
-            ext[:, cols] = self.extend_boundary_columns(unit)
-        gram = np.empty((nb, nb))
+            return self.extend_boundary_columns(unit)
+
+        if not gram:
+            schur = np.empty((nb, nb))
+            for cols in blocks:
+                schur[:, cols] = k_b @ extend(cols)
+            return {"schur": schur}
+        ext = np.empty((self.n_vertices, nb))
         for cols in blocks:
-            gram[cols, : cols.stop] = (self.mass @ ext[:, cols]).T @ ext[:, : cols.stop]
+            ext[:, cols] = extend(cols)
+        form = np.empty((nb, nb))
+        for cols in blocks:
+            form[cols, : cols.stop] = (self.mass @ ext[:, cols]).T @ ext[:, : cols.stop]
         upper = np.triu_indices(nb, 1)
-        gram[upper] = gram.T[upper]
-        schur = self.stiffness[self.boundary_idx] @ ext
-        gram.setflags(write=False)
-        schur.setflags(write=False)
-        return gram, schur
+        form[upper] = form.T[upper]
+        return {"gram": form, "schur": k_b @ ext}
 
     def extend_boundary_columns(self, g_columns: np.ndarray) -> np.ndarray:
         """Discrete harmonic extension of boundary data, one column per field."""

@@ -94,9 +94,15 @@ def _edge_table(triangles: np.ndarray, n_vertices: int):
     return edges, first, inverse, counts
 
 
-def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Swap vertices of clockwise triangles in place; reject degenerate ones."""
-    areas = _signed_areas(vertices, triangles)
+def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray, areas=None) -> np.ndarray:
+    """Swap vertices of clockwise triangles; reject degenerate ones.
+
+    ``areas`` are the triangles' signed areas, computed here if not given.
+    Swapping two corners negates a signed area exactly, so ``abs(areas)``
+    are the areas of the returned triangles, bit for bit.
+    """
+    if areas is None:
+        areas = _signed_areas(vertices, triangles)
     flip = areas < 0
     triangles = triangles.copy()
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
@@ -132,6 +138,9 @@ class Mesh:
         ``("disk", cx, cy, radius)`` for disk meshes whose boundary nodes
         lie on the circle.  Refinement uses this to snap new boundary
         nodes back to the circle.
+    areas : (t,) array_like, optional
+        The triangles' signed areas, when the caller has them already
+        (the generators do); taken as given, not recomputed.
 
     Attributes
     ----------
@@ -154,7 +163,7 @@ class Mesh:
         Unit outward normal per boundary edge.
     """
 
-    def __init__(self, vertices, triangles, geometry=("polygon",)):
+    def __init__(self, vertices, triangles, geometry=("polygon",), *, areas=None):
         v = np.array(vertices, dtype=float)
         t = np.array(triangles, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 2:
@@ -163,7 +172,7 @@ class Mesh:
             raise ValueError("triangles must have shape (t, 3)")
         if t.size and (t.min() < 0 or t.max() >= v.shape[0]):
             raise ValueError("triangle index out of range")
-        areas = _signed_areas(v, t)
+        areas = _signed_areas(v, t) if areas is None else np.array(areas, dtype=float)
         if np.any(areas <= 0):
             raise ValueError("all triangles must be counterclockwise with positive area")
 
@@ -423,9 +432,10 @@ def build_disk_mesh(radius: float, n_radial: int, n_angular: int, grading: float
     pts = np.concatenate(points)
     # Boundary nodes exactly on the circle: the parametrization above already
     # evaluates cos/sin at radius `radius`; no snapping needed here.
-    tri = Delaunay(pts)
-    triangles = _orient_ccw(pts, tri.simplices.astype(np.int64))
-    return Mesh(pts, triangles, geometry=("disk", 0.0, 0.0, float(radius)))
+    triangles = Delaunay(pts).simplices.astype(np.int64)
+    areas = _signed_areas(pts, triangles)
+    triangles = _orient_ccw(pts, triangles, areas)
+    return Mesh(pts, triangles, ("disk", 0.0, 0.0, float(radius)), areas=np.abs(areas))
 
 
 def disk_mesh(radius: float, target_h: float, grading: float = 0.8) -> Mesh:
@@ -518,11 +528,10 @@ def build_polygon_mesh(vertices, target_h: float) -> Mesh:
     # Delaunay closes the rounded, nearly collinear subdivision points of a
     # slanted edge into zero-area slivers along the boundary: drop those.
     # Any other degenerate triangle is still rejected below.
-    sliver = _flat(pts, _signed_areas(pts, triangles)) & np.all(
-        triangles < boundary_pts.shape[0], axis=1
-    )
-    triangles = _orient_ccw(pts, triangles[~sliver])
-    return Mesh(pts, triangles, geometry=("polygon",))
+    areas = _signed_areas(pts, triangles)
+    keep = ~(_flat(pts, areas) & np.all(triangles < boundary_pts.shape[0], axis=1))
+    triangles = _orient_ccw(pts, triangles[keep], areas[keep])
+    return Mesh(pts, triangles, ("polygon",), areas=np.abs(areas[keep]))
 
 
 def refine(mesh: Mesh) -> Mesh:

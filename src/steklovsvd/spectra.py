@@ -17,11 +17,13 @@
   with consistently recovered boundary fluxes.
 
 The dense DBS and DtN branches read the Gram and Schur forms that
-:attr:`fem.AssembledOperators.boundary_forms` builds once per mesh from
-one harmonic extension of the boundary identity, so running both on one
-mesh extends the identity once.  The shift-invert Dirichlet branch
-inverts with the mesh's cached interior LU instead of factorizing again.
-The Lanczos branches apply the operator compositions matrix-free.
+:meth:`fem.AssembledOperators.boundary_form` builds once per mesh from a
+harmonic extension of the boundary identity: a DBS solve builds both from
+one extension, a DtN solve on a fresh mesh only the Schur form.  The
+shift-invert Dirichlet branch inverts with the mesh's cached interior LU
+instead of factorizing again.  The Lanczos branches apply the operator
+compositions matrix-free.  ``method="auto"`` picks dense or Lanczos by
+:func:`_choose_method`'s cost model.
 
 Degenerate eigenvalue clusters (relative gap below 1e-6) are rotated to a
 deterministic basis: within each cluster the eigenvectors are re-combined
@@ -32,8 +34,11 @@ is positive.  All returned orderings are deterministic.
 
 from __future__ import annotations
 
+import logging
+import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -44,7 +49,6 @@ from .fem import (
     BoundaryField,
     InteriorField,
     dtn_apply,
-    normal_flux,
     operators,
     t_apply,
     trace,
@@ -67,9 +71,10 @@ __all__ = [
     "basis_from_json_dict",
 ]
 
-_DENSE_BOUNDARY_LIMIT = 2000
 _CLUSTER_GAP = 1e-6
 _EIG_TOL = 1e-10
+
+_log = logging.getLogger("steklovsvd")
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -233,23 +238,90 @@ def _check_modes(m: int, limit: int, what: str):
         raise CapacityError(f"M={m} exceeds the {what} capacity {limit} of this mesh")
 
 
-def _boundary_spectrum(mesh, n_modes: int, method: str, form: int, apply, which: str):
+# Cost model of ``method="auto"``, in LU-solve columns: the time of one
+# single-right-hand-side solve with the interior LU (about 2e-9 s per LU
+# nonzero, one BLAS thread).  Fitted on disk and rectangle meshes of 566 to
+# 35,207 vertices:
+# * one column of the identity extension, solved in blocks, costs 0.49-0.65
+#   of a single solve;
+# * the Gram product costs 0.03 columns per unit of n * nb**2 / (LU nonzeros);
+# * the LU (COLAMD) holds 3 ln(n) - 14.5 times the nonzeros of the interior
+#   stiffness block: 8.9x at 2,258 vertices, 17.3x at 35,207.
+# Dense is never chosen when the n x nb extension that builds the Gram form
+# (8 n nb bytes) would exceed the memory ceiling, for either problem.
+_BLOCK_COLUMN = 0.55
+_GRAM_COST = 0.03
+_DENSE_MEMORY_LIMIT = 2**28  # bytes
+
+# Boundary problem -> (form of the dense branch, ARPACK end, LU solves per
+# matvec, ARPACK matvecs for M modes on nb boundary nodes).  DBS (t_apply,
+# M largest) measured 34, 124, 153 and 253 matvecs at M = 5, 40, 60 and
+# 100, alike from 157 to 410 boundary nodes.  DtN (dtn_apply, M smallest)
+# grows with the spread of its spectrum, which is about nb: 114, 208 and
+# 313 at M = 8 and nb = 79, 206 and 410.
+_PROBLEMS = {
+    "dbs": ("gram", "LA", 2, lambda m, nb: 22 + 2.3 * m),
+    "dtn": ("schur", "SA", 1, lambda m, nb: (14 + 0.06 * m) * math.sqrt(nb)),
+}
+
+
+class MethodChoice(NamedTuple):
+    method: str
+    reason: str  # "cached forms", "memory ceiling" or "costs"
+    dense_cost: float  # LU-solve columns
+    lanczos_cost: float
+
+
+def _choose_method(
+    problem: str, n: int, nb: int, n_modes: int, a_nnz: int, cached: bool
+) -> MethodChoice:
+    """Dense or Lanczos for ``n_modes`` modes of ``problem`` ("dbs" or "dtn").
+
+    ``n`` vertices, ``nb`` boundary nodes, ``a_nnz`` stored entries of the
+    interior stiffness block, ``cached`` whether the mesh holds the dense
+    branch's form already.  Dense costs nothing beyond ``eigh`` with the
+    form cached; otherwise it extends the identity (and for DBS multiplies
+    out the Gram form).  Lanczos costs its matvecs, at most ``nb + 1``
+    (ARPACK's Krylov space is then the whole boundary space).
+    """
+    form, _, solves, matvecs = _PROBLEMS[problem]
+    lanczos = solves * min(matvecs(n_modes, nb), nb + 1)
+    if cached:
+        return MethodChoice("dense", "cached forms", 0.0, lanczos)
+    dense = _BLOCK_COLUMN * nb
+    if form == "gram":
+        lu_nnz = max(3.0 * math.log(n) - 14.5, 1.0) * a_nnz
+        dense += _GRAM_COST * n * nb * nb / lu_nnz
+    if 8 * n * nb > _DENSE_MEMORY_LIMIT:
+        return MethodChoice("lanczos", "memory ceiling", dense, lanczos)
+    return MethodChoice("dense" if dense <= lanczos else "lanczos", "costs", dense, lanczos)
+
+
+def _boundary_spectrum(mesh, n_modes: int, method: str, problem: str, apply):
     """``n_modes`` extreme eigenpairs of ``W^-1/2 F W^-1/2``, ``W`` the boundary quadrature.
 
-    ``F`` is ``boundary_forms[form]`` (0: DBS Gram, 1: DtN Schur) for "dense"
-    and the matrix-free ``apply`` for "lanczos"; "auto" picks dense up to
-    ``_DENSE_BOUNDARY_LIMIT`` boundary nodes.  Eigenvalues come largest
-    first for ``which="LA"``, smallest first for ``"SA"``, with their
-    columns ``g`` (weights removed).
+    ``F`` is the problem's boundary form (DBS: Gram, DtN: Schur) for
+    "dense" and the matrix-free ``apply`` for "lanczos"; "auto" asks
+    :func:`_choose_method`.  Eigenvalues come largest first for DBS,
+    smallest first for DtN, with their columns ``g`` (weights removed).
     """
     ops = operators(mesh)
     nb = ops.boundary_idx.size
+    form, which, _, _ = _PROBLEMS[problem]
     if method == "auto":
-        method = "dense" if nb <= _DENSE_BOUNDARY_LIMIT else "lanczos"
+        choice = _choose_method(
+            problem, ops.n_vertices, nb, n_modes, ops.interior_nnz, ops.has_boundary_form(form)
+        )
+        _log.debug(
+            "%s eigensolve of %d modes (%d vertices, %d boundary nodes): %s by %s, "
+            "dense %.0f vs lanczos %.0f LU-solve columns",
+            problem, n_modes, ops.n_vertices, nb, *choice,
+        )  # fmt: skip
+        method = choice.method
     sw = np.sqrt(ops.boundary_weights)
     step = -1 if which == "LA" else 1
     if method == "dense":
-        f = ops.boundary_forms[form]
+        f = ops.boundary_form(form)
         # The Gram form is exactly symmetric already, so this is a no-op for it.
         vals, vecs = sla.eigh(0.5 * (f + f.T) / sw[:, None] / sw[None, :])
         order = slice(None, None, step)
@@ -280,9 +352,16 @@ def dbs_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") -> SpectralBa
     n_modes : int
         Number of requested eigenpairs; at most ``boundary nodes - 1``.
     method : {"auto", "dense", "lanczos"}
-        "dense" solves the full boundary problem (default up to 2000
-        boundary nodes); "lanczos" applies the operator composition
-        iteratively.
+        "dense" solves the full boundary problem through the mesh's Gram
+        form; "lanczos" applies the operator composition iteratively.
+        "auto" picks dense when the mesh holds the Gram form already,
+        Lanczos when the dense extension would exceed 256 MiB
+        (``8 n nb`` bytes, ``n`` vertices, ``nb`` boundary nodes), and
+        otherwise the cheaper by a cost model counted in LU solves.  The
+        choice depends only on ``n``, ``nb``, the nonzeros of the
+        interior stiffness block, ``n_modes``, the problem and which
+        boundary forms the mesh has cached; it is logged at DEBUG on the
+        ``steklovsvd`` logger.
 
     Returns
     -------
@@ -292,7 +371,7 @@ def dbs_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") -> SpectralBa
     """
     ops = operators(mesh)
     _check_modes(n_modes, ops.boundary_idx.size - 1, "boundary-node")
-    beta, g_cols = _boundary_spectrum(mesh, n_modes, method, 0, t_apply, "LA")
+    beta, g_cols = _boundary_spectrum(mesh, n_modes, method, "dbs", t_apply)
     if beta[-1] <= 0:
         raise IterationLimitError("eigensolver returned a nonpositive spectrum")
     q = 1.0 / beta
@@ -323,11 +402,15 @@ def harmonic_steklov_eigensolve(
     """Smallest ``n_modes`` Dirichlet-to-Neumann eigenpairs.
 
     The first eigenvalue is zero with constant eigenfunction; traces are
-    orthonormal in the normalized boundary inner product.
+    orthonormal in the normalized boundary inner product.  ``method`` is
+    chosen as in :func:`dbs_eigensolve`, with the Schur form in place of
+    the Gram form: "dense" builds only the Schur form on a mesh that has
+    neither, and "auto" picks dense whenever the Schur form is cached
+    (any dense solve on the mesh leaves it).
     """
     ops = operators(mesh)
     _check_modes(n_modes, ops.boundary_idx.size, "boundary-node")
-    delta, g_cols = _boundary_spectrum(mesh, n_modes, method, 1, dtn_apply, "SA")
+    delta, g_cols = _boundary_spectrum(mesh, n_modes, method, "dtn", dtn_apply)
     if delta[0] < -1e-8 * max(abs(delta[-1]), 1.0):
         raise IterationLimitError("Dirichlet-to-Neumann spectrum came out negative")
     delta = np.maximum(delta, 0.0)
@@ -383,12 +466,13 @@ def dirichlet_laplacian_eigensolve(mesh: Mesh, n_modes: int) -> list[DirichletEi
     _canonicalize_clusters(vals, [e_mat], e_mat[ops.interior_idx])
     _fix_signs([e_mat], e_mat)
 
-    pairs = []
-    for j in range(n_modes):
-        e = InteriorField(mesh, e_mat[:, j])
-        f = InteriorField(mesh, -vals[j] * e_mat[:, j])
-        pairs.append(DirichletEigenpair(float(vals[j]), e, normal_flux(mesh, e, f)))
-    return pairs
+    # normal_flux of every mode at once, with f = -lam e.
+    residual = ops.stiffness @ e_mat + ops.mass @ (e_mat * -vals)
+    flux = residual[ops.boundary_idx] / ops.boundary_weights[:, None]
+    return [
+        DirichletEigenpair(float(lam), InteriorField(mesh, e), BoundaryField(mesh, d))
+        for lam, e, d in zip(vals, e_mat.T, flux.T)
+    ]
 
 
 def normal_derivative_series(

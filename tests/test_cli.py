@@ -252,6 +252,9 @@ class TestMeshAndBasisFileErrors:
         "basis_not_json": ("basis", "{not json"),
         "basis_a_list": ("basis", "[1,2]"),
         "basis_empty_object": ("basis", "{}"),
+        "basis_domain_missing_field": ("basis", '{"domain": "disk;h=0.08"}'),
+        "basis_domain_field_not_a_number": ("basis", '{"domain": "disk;radius=x;h=0.08"}'),
+        "basis_domain_not_a_string": ("basis", '{"domain": 3}'),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_FILES))
@@ -265,6 +268,21 @@ class TestMeshAndBasisFileErrors:
         else:
             argv = ["kernel", "--basis", bad, "--x", "0,0", "--out", out]
         assert_one_input_error(run(argv), capsys, recwarn, out)
+
+    @pytest.mark.parametrize(
+        "domain, detail",
+        [
+            ("disk;h=0.08", "has no 'radius' field"),
+            ("disk;radius=x;h=0.08", "is invalid: could not convert string to float: 'x'"),
+        ],
+    )
+    def test_bad_domain_names_the_entry(self, tmp_path, capsys, domain, detail):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"domain": domain}))
+        assert run(["kernel", "--basis", bad, "--x", "0,0", "--out", tmp_path / "s.csv"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: basis file's 'domain' entry {domain!r} {detail}\n"
+        )
 
     def test_outside_point_prints_plain_floats(self, tmp_path, basis_file, capsys):
         out = tmp_path / "s.csv"

@@ -240,15 +240,15 @@ class TestBoundaryForms:
         ext = ops.extend_boundary_columns(np.eye(nb))
         gram_ref = ext.T @ (ops.mass @ ext)
         schur_ref = (ops.stiffness @ ext)[ops.boundary_idx]
-        gram, schur = ops.boundary_forms
+        gram, schur = ops.boundary_form("gram"), ops.boundary_form("schur")
         assert np.max(np.abs(gram - gram_ref)) <= 1e-12 * np.max(np.abs(gram_ref))
         assert np.max(np.abs(schur - schur_ref)) <= 1e-12 * np.max(np.abs(schur_ref))
         assert np.array_equal(gram, gram.T)
 
     def test_forms_are_cached_read_only(self, disk_coarse):
         ops = operators(disk_coarse)
-        gram, schur = ops.boundary_forms
-        assert ops.boundary_forms[0] is gram
+        gram, schur = ops.boundary_form("gram"), ops.boundary_form("schur")
+        assert ops.boundary_form("gram") is gram
         for form in (gram, schur):
             with pytest.raises(ValueError):
                 form[0, 0] = 1.0
@@ -269,6 +269,37 @@ class TestBoundaryForms:
         harmonic_steklov_eigensolve(mesh, 5, method="dense")
         # The identity once, then the 6 DBS and 5 DtN eigenvectors.
         assert sum(columns) == nb + 6 + 5
+
+    def test_dtn_first_builds_the_schur_form_alone(self, monkeypatch):
+        mesh = disk_mesh(1.0, 0.1)
+        ops = operators(mesh)
+        nb = mesh.boundary_nodes.size
+        columns = []
+        extend = fem.AssembledOperators.extend_boundary_columns
+
+        def counting(self, g_columns):
+            out = extend(self, g_columns)
+            columns.append(out.shape[1])
+            return out
+
+        monkeypatch.setattr(fem.AssembledOperators, "extend_boundary_columns", counting)
+        harmonic_steklov_eigensolve(mesh, 5, method="dense")
+        assert sum(columns) == nb + 5
+        assert ops.has_boundary_form("schur") and not ops.has_boundary_form("gram")
+        schur = ops.boundary_form("schur")
+        dbs_eigensolve(mesh, 6, method="dense")
+        # The DBS solve extends the identity again for its Gram form.
+        assert sum(columns) == nb + 5 + nb + 6
+        assert ops.boundary_form("schur") is schur
+        # The Schur form built alone equals the one built with the Gram form.
+        both = operators(disk_mesh(1.0, 0.1))
+        both.boundary_form("gram")
+        assert np.array_equal(both.boundary_form("schur"), schur)
+
+    def test_interior_nnz_counts_the_factorized_block(self, disk_mid):
+        ops = operators(disk_mid)
+        a_ii = ops.stiffness[ops.interior_idx][:, ops.interior_idx]
+        assert ops.interior_nnz == a_ii.nnz
 
     def test_one_factorization_for_all_three_solvers(self, monkeypatch):
         mesh = disk_mesh(1.0, 0.05)
@@ -295,7 +326,7 @@ class TestOperatorCache:
     def test_mesh_and_operators_are_freed(self):
         mesh = disk_mesh(1.0, 0.25)
         harmonic_extension(mesh, BoundaryField.constant(mesh, 1.0))
-        assert operators(mesh).boundary_forms[0].shape == (mesh.boundary_nodes.size,) * 2
+        assert operators(mesh).boundary_form("gram").shape == (mesh.boundary_nodes.size,) * 2
         ref = weakref.ref(mesh)
         cached = len(fem._OPERATOR_CACHE)
         del mesh

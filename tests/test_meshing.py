@@ -17,6 +17,7 @@ from steklovsvd import (
     transform,
     write_mesh_text,
 )
+from steklovsvd import meshing
 from steklovsvd.errors import OutsideDomainError
 from steklovsvd.fem import interpolate_values
 from steklovsvd.meshing import (
@@ -682,3 +683,27 @@ class TestPolygonClearance:
     def test_matches_reference(self, name):
         corners, h = POLYGON_CASES[name]
         assert_same_mesh(build_polygon_mesh(corners, h), ref_build_polygon_mesh(corners, h))
+
+
+class TestSignedAreasOnce:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: disk_mesh(1.3, 0.1),
+            lambda: build_polygon_mesh(UNIT_SQUARE, 0.1),
+            lambda: build_polygon_mesh([(0.0, 0.0), (1.0, 0.1), (0.6, 0.9), (-0.2, 0.5)], 0.07),
+        ],
+        ids=["disk", "square", "slanted"],
+    )
+    def test_one_call_per_generated_mesh(self, monkeypatch, build):
+        calls = []
+
+        def counting(vertices, triangles):
+            calls.append(triangles.shape[0])
+            return _signed_areas(vertices, triangles)
+
+        monkeypatch.setattr(meshing, "_signed_areas", counting)
+        mesh = build()
+        assert len(calls) == 1
+        # The areas handed to Mesh are the ones it would compute itself.
+        assert np.array_equal(mesh.interior_weights, _signed_areas(mesh.vertices, mesh.triangles))

@@ -1,13 +1,22 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from steklovsvd import refine, transform
+from steklovsvd import disk_mesh, refine, spectra, transform
 from steklovsvd.analytic_disk import bessel_j_zero
 from steklovsvd.errors import CapacityError, TruncationWarning
-from steklovsvd.fem import BoundaryField, InteriorField, dtn_apply, operators, t_apply, trace
+from steklovsvd.fem import (
+    BoundaryField,
+    InteriorField,
+    dtn_apply,
+    normal_flux,
+    operators,
+    t_apply,
+    trace,
+)
 from steklovsvd.spectra import (
     basis_from_json_dict,
     basis_to_json_dict,
@@ -205,6 +214,79 @@ class TestDirichletLaplacian:
         dense = sla.eigh(a_ii, m_ii, eigvals_only=True, subset_by_index=[0, 5])
         lam = np.array([p.lam for p in dirichlet_laplacian_eigensolve(disk_mid, 6)])
         assert np.max(np.abs(lam - dense) / dense) < 1e-8
+
+
+    def test_fluxes_match_the_per_mode_loop(self, disk_mid):
+        pairs = dirichlet_laplacian_eigensolve(disk_mid, 6)
+        for p in pairs:
+            f = InteriorField(disk_mid, -p.lam * p.e.values)
+            assert np.array_equal(p.flux.values, normal_flux(disk_mid, p.e, f).values)
+
+
+# (n, interior stiffness nonzeros) by boundary node count, recorded from
+# disk_mesh(1, 0.04), the 1.5:1 rectangle of area 1 at h=0.02, and
+# refine(disk_mesh(1, h)) for h = 0.04, 0.03 and 0.02.
+RECORDED_SIZES = {
+    157: (2258, 14397),
+    206: (2989, 19057),
+    314: (8872, 59282),
+    418: (15528, 104938),
+    628: (35207, 240801),
+}
+
+
+class TestMethodChoice:
+    @staticmethod
+    def choose(problem, nb, n_modes, cached=False, n=None):
+        # A fake size (n given) has about 7 stiffness entries per vertex.
+        n, a_nnz = RECORDED_SIZES[nb] if n is None else (n, 7 * n)
+        return spectra._choose_method(problem, n, nb, n_modes, a_nnz, cached)
+
+    @pytest.mark.parametrize("nb, n_modes", [(157, 60), (314, 60), (418, 60), (206, 40)])
+    def test_dense_where_it_was_measured_faster(self, nb, n_modes):
+        choice = self.choose("dbs", nb, n_modes)
+        assert choice.method == "dense" and choice.reason == "costs"
+        assert choice.dense_cost < choice.lanczos_cost
+
+    @pytest.mark.parametrize("nb, n_modes", [(628, 60), (206, 5)])
+    def test_lanczos_where_it_was_measured_faster(self, nb, n_modes):
+        choice = self.choose("dbs", nb, n_modes)
+        assert choice.method == "lanczos" and choice.reason == "costs"
+
+    @pytest.mark.parametrize("nb, n_modes", [(157, 8), (314, 40)])
+    def test_fresh_dtn_stays_dense_at_these_sizes(self, nb, n_modes):
+        assert self.choose("dtn", nb, n_modes).method == "dense"
+
+    @pytest.mark.parametrize("problem", ["dbs", "dtn"])
+    @pytest.mark.parametrize("nb", sorted(RECORDED_SIZES))
+    @pytest.mark.parametrize("n_modes", [1, 5, 60])
+    def test_dense_whenever_the_form_is_cached(self, problem, nb, n_modes):
+        choice = self.choose(problem, nb, n_modes, cached=True)
+        assert choice.method == "dense" and choice.reason == "cached forms"
+        assert choice.dense_cost == 0.0
+
+    @pytest.mark.parametrize("problem", ["dbs", "dtn"])
+    def test_never_dense_above_the_memory_ceiling(self, problem):
+        n = 35207
+        limit_nb = spectra._DENSE_MEMORY_LIMIT // (8 * n)
+        # Nearly every mode of a fake boundary: by cost alone dense would win.
+        below = self.choose(problem, limit_nb, limit_nb - 1, n=n)
+        assert below.method == "dense"
+        above = self.choose(problem, limit_nb + 1, limit_nb, n=n)
+        assert above.method == "lanczos" and above.reason == "memory ceiling"
+        assert above.dense_cost < above.lanczos_cost
+
+    def test_choice_is_logged_at_debug(self, caplog):
+        mesh = disk_mesh(1.0, 0.1)
+        with caplog.at_level(logging.DEBUG, logger="steklovsvd"):
+            dbs_eigensolve(mesh, 6)
+            harmonic_steklov_eigensolve(mesh, 5)
+        messages = [r.getMessage() for r in caplog.records if r.name == "steklovsvd"]
+        assert len(messages) == 2
+        assert messages[0].startswith("dbs eigensolve of 6 modes")
+        assert ": dense by costs, dense " in messages[0]
+        assert messages[1].startswith("dtn eigensolve of 5 modes")
+        assert ": dense by cached forms, dense 0 vs lanczos " in messages[1]
 
 
 class TestNormalDerivativeSeries:
