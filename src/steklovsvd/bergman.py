@@ -29,8 +29,7 @@ from .fem import (
     BoundaryField,
     InteriorField,
     interpolate_values,
-    normal_flux,
-    solve_dirichlet_poisson,
+    operators,
 )
 from .spectra import SpectralBasis
 
@@ -159,10 +158,11 @@ def biharmonic_potential(
             )
     harmonic = InteriorField(basis.mesh, basis.h_matrix[:, :m] @ coeffs)
     remainder = InteriorField(basis.mesh, f.values - harmonic.values)
-    psi = solve_dirichlet_poisson(basis.mesh, remainder, None)
-    flux = normal_flux(basis.mesh, psi, remainder)
+    ops = operators(basis.mesh)
+    mr = ops.mass @ remainder.values
+    psi = InteriorField(basis.mesh, ops.dirichlet_solve(mr))
+    flux_norm = BoundaryField(basis.mesh, ops.boundary_flux(psi.values, mr)).norm_normalized()
     rms = scale / np.sqrt(basis.mesh.area)
-    flux_norm = flux.norm_normalized()
     return BergmanDecomposition(
         harmonic, psi, remainder, flux_norm, bool(flux_norm <= flux_tol * rms)
     )

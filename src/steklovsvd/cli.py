@@ -58,14 +58,28 @@ class InputError(Exception):
     pass
 
 
-def _load_config(argv):
-    if "--config" not in argv:
-        return {}
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise InputError("--config requires a path")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error: one ``error:`` line, exit 1."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _with_config(argv, commands) -> list:
+    """``argv`` with its ``--config`` entries for the command's flags first, as ``--flag=value``.
+
+    Argparse then checks each value by the flag's type and choices, and the
+    flags given later win.  A non-string value enters as its JSON text (``true``,
+    ``null`` and lists fail numeric checks); a flag without a type (a path
+    or a name) takes strings only.
+    """
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
     try:
-        with open(argv[idx + 1]) as fh:
+        with open(path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read config file: {exc}") from exc
@@ -73,90 +87,76 @@ def _load_config(argv):
         raise InputError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError("config file must contain a JSON object")
-    return {str(k).replace("-", "_"): v for k, v in cfg.items()}
+    if argv[0] not in commands:
+        return argv
+    actions = {a.dest: a for a in commands[argv[0]]._actions if a.nargs != 0}
+    entries = []
+    for key, value in cfg.items():
+        action = actions.get(str(key).replace("-", "_"))
+        if action is None:
+            continue
+        if not isinstance(value, str):
+            if action.type is None:
+                raise InputError(f"config entry {key!r} must be a string, got {json.dumps(value)}")
+            value = json.dumps(value)
+        entries.append(f"{action.option_strings[-1]}={value}")
+    return argv[:1] + entries + argv[1:]
 
 
-def _build_parser(cfg: dict) -> argparse.ArgumentParser:
-    def default(key, fallback):
-        return cfg.get(key, fallback)
-
-    parser = argparse.ArgumentParser(
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
+    parser = _Parser(
         prog="steklovsvd",
         description="Biharmonic Steklov spectra and the SVD of the Poisson operator.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_domain_flags(p):
+    def add_parser(name, helptext, domain, out_required=True):
+        p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="optional JSON config file (keys match flags)")
-        p.add_argument(
-            "--domain",
-            choices=["disk", "polygon"],
-            default=default("domain", "disk"),
-        )
-        p.add_argument("--radius", type=float, default=default("radius", 1.0))
-        p.add_argument("--h", type=float, default=default("h", DEFAULT_H))
-        p.add_argument(
-            "--vertices-file", default=default("vertices_file", None), dest="vertices_file"
-        )
-        p.add_argument("--mesh", default=default("mesh", None), help="reuse a mesh text file")
+        p.add_argument("--out", required=out_required)
+        p.add_argument("--mesh", help="reuse a mesh text file")
+        if domain:
+            p.add_argument("--domain", choices=["disk", "polygon"], default="disk")
+            p.add_argument("--radius", type=float, default=1.0)
+            p.add_argument("--h", type=float, default=DEFAULT_H)
+            p.add_argument("--vertices-file")
+        return p
 
-    p_mesh = sub.add_parser("mesh", help="generate a mesh and write the text format")
-    add_domain_flags(p_mesh)
-    p_mesh.add_argument("--out", required=True)
-
+    add_parser("mesh", "generate a mesh and write the text format", domain=True)
     for name, helptext in (
         ("dbs", "biharmonic Steklov eigenpairs (basis JSON)"),
         ("steklov", "Dirichlet-to-Neumann eigenpairs (JSON)"),
         ("laplace-eigs", "Dirichlet Laplacian eigenpairs (JSON)"),
     ):
-        p = sub.add_parser(name, help=helptext)
-        add_domain_flags(p)
-        p.add_argument("--modes", type=int, default=default("modes", DEFAULT_MODES))
-        p.add_argument("--out", required=True)
-        p.add_argument("--mesh-out", default=default("mesh_out", None), dest="mesh_out")
+        p = add_parser(name, helptext, domain=True)
+        p.add_argument("--modes", type=int, default=DEFAULT_MODES)
+        p.add_argument("--mesh-out")
 
-    p_kernel = sub.add_parser("kernel", help="kernel slice through a saved basis")
-    p_kernel.add_argument("--config", help="optional JSON config file")
-    p_kernel.add_argument("--basis", required=True)
-    p_kernel.add_argument("--mesh", default=default("mesh", None))
+    p_kernel = add_parser("kernel", "kernel slice through a saved basis", domain=False)
     p_kernel.add_argument("--x", required=True, help="interior point 'x,y'")
-    p_kernel.add_argument(
-        "--which",
-        choices=["poisson", "bergman"],
-        default=default("which", "poisson"),
+    p_kernel.add_argument("--which", choices=["poisson", "bergman"], default="poisson")
+    p_ext = add_parser("extend", "truncated harmonic extension + error report", domain=False)
+    p_ext.add_argument("--g-file")
+    p_ext.add_argument("--g-const", type=float)
+    p_proj = add_parser("project", "harmonic Bergman projection of interior data", domain=False)
+    p_proj.add_argument("--f-file")
+    p_proj.add_argument("--f-const", type=float)
+    for p in (p_kernel, p_ext, p_proj):
+        p.add_argument("--basis", required=True)
+        p.add_argument("--modes", type=int)
+
+    p_verify = add_parser(
+        "verify", "run invariant suites, exit 2 on failure", domain=True, out_required=False
     )
-    p_kernel.add_argument("--modes", type=int, default=default("modes", None))
-    p_kernel.add_argument("--out", required=True)
-
-    p_ext = sub.add_parser("extend", help="truncated harmonic extension + error report")
-    p_ext.add_argument("--config", help="optional JSON config file")
-    p_ext.add_argument("--basis", required=True)
-    p_ext.add_argument("--mesh", default=default("mesh", None))
-    p_ext.add_argument("--g-file", dest="g_file", default=default("g_file", None))
-    p_ext.add_argument("--g-const", dest="g_const", type=float, default=default("g_const", None))
-    p_ext.add_argument("--modes", type=int, default=default("modes", None))
-    p_ext.add_argument("--out", required=True)
-
-    p_proj = sub.add_parser("project", help="harmonic Bergman projection of interior data")
-    p_proj.add_argument("--config", help="optional JSON config file")
-    p_proj.add_argument("--basis", required=True)
-    p_proj.add_argument("--mesh", default=default("mesh", None))
-    p_proj.add_argument("--f-file", dest="f_file", default=default("f_file", None))
-    p_proj.add_argument("--f-const", dest="f_const", type=float, default=default("f_const", None))
-    p_proj.add_argument("--modes", type=int, default=default("modes", None))
-    p_proj.add_argument("--out", required=True)
-
-    p_verify = sub.add_parser("verify", help="run invariant suites, exit 2 on failure")
-    add_domain_flags(p_verify)
     p_verify.add_argument(
         "--suite",
-        default=default("suite", "all"),
+        default="all",
         help=f"comma-separated subset of {', '.join(SUITE_NAMES)} or 'all'",
     )
-    p_verify.add_argument("--modes", type=int, default=default("modes", DEFAULT_MODES))
-    p_verify.add_argument("--out", default=default("out", None))
-    return parser
+    p_verify.add_argument("--modes", type=int, default=DEFAULT_MODES)
+    return parser, sub.choices
 
 
 # -- domain handling ----------------------------------------------------------------
@@ -261,45 +261,36 @@ def _parse_point(text):
     return np.array([x, y])
 
 
-def _boundary_data(args, mesh) -> BoundaryField:
-    if (args.g_file is None) == (args.g_const is None):
-        raise InputError("provide exactly one of --g-file / --g-const")
-    if args.g_const is not None:
-        return BoundaryField.constant(mesh, args.g_const)
-    vals = _load_table(args.g_file, "boundary data").ravel()
-    if vals.size != mesh.boundary_nodes.size:
-        raise InputError(
-            f"boundary data has {vals.size} values, mesh has "
-            f"{mesh.boundary_nodes.size} boundary nodes"
-        )
-    return BoundaryField(mesh, vals)
-
-
-def _interior_data(args, mesh) -> InteriorField:
-    if (args.f_file is None) == (args.f_const is None):
-        raise InputError("provide exactly one of --f-file / --f-const")
-    if args.f_const is not None:
-        return InteriorField.constant(mesh, args.f_const)
-    vals = _load_table(args.f_file, "interior data").ravel()
-    if vals.size != mesh.vertices.shape[0]:
-        raise InputError(
-            f"interior data has {vals.size} values, mesh has "
-            f"{mesh.vertices.shape[0]} vertices"
-        )
-    return InteriorField(mesh, vals)
+def _field_data(mesh, kind, path, const):
+    """The field that exactly one of a ``--<kind>-file`` / ``--<kind>-const`` pair gives."""
+    if (path is None) == (const is None):
+        raise InputError(f"provide exactly one of --{kind}-file / --{kind}-const")
+    cls, what, size, unit = {
+        "g": (BoundaryField, "boundary data", mesh.boundary_nodes.size, "boundary nodes"),
+        "f": (InteriorField, "interior data", mesh.vertices.shape[0], "vertices"),
+    }[kind]
+    if const is not None:
+        return cls.constant(mesh, const)
+    vals = _load_table(path, what).ravel()
+    if vals.size != size:
+        raise InputError(f"{what} has {vals.size} values, mesh has {size} {unit}")
+    return cls(mesh, vals)
 
 
 # -- command handlers ----------------------------------------------------------------
 
 
+def _write(path, text):
+    try:
+        atomic_write_text(path, text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_mesh(args) -> int:
     mesh, _ = _domain_mesh(args)
-    atomic_write_text(args.out, write_mesh_text(mesh))
+    _write(args.out, write_mesh_text(mesh))
     return 0
-
-
-def _dbs_payload(mesh, descriptor, basis) -> dict:
-    return basis_to_json_dict(basis, descriptor)
 
 
 def _steklov_payload(mesh, descriptor, pairs) -> dict:
@@ -327,7 +318,10 @@ def _laplace_payload(mesh, descriptor, pairs) -> dict:
 # Eigen command -> (solver, payload builder).  The solvers are looked up
 # when called, so a wrapper installed on this module sees them.
 _EIGEN_COMMANDS = {
-    "dbs": (lambda mesh, m: dbs_eigensolve(mesh, m), _dbs_payload),
+    "dbs": (
+        lambda mesh, m: dbs_eigensolve(mesh, m),
+        lambda mesh, descriptor, basis: basis_to_json_dict(basis, descriptor),
+    ),
     "steklov": (lambda mesh, m: harmonic_steklov_eigensolve(mesh, m), _steklov_payload),
     "laplace-eigs": (lambda mesh, m: dirichlet_laplacian_eigensolve(mesh, m), _laplace_payload),
 }
@@ -338,9 +332,9 @@ def _cmd_eigen(args) -> int:
     solve, payload = _EIGEN_COMMANDS[args.command]
     result = solve(mesh, args.modes)
     # No name holds the payload, so it is freed before the mesh text is built.
-    atomic_write_text(args.out, dumps_canonical(payload(mesh, descriptor, result)))
+    _write(args.out, dumps_canonical(payload(mesh, descriptor, result)))
     if args.mesh_out:
-        atomic_write_text(args.mesh_out, write_mesh_text(mesh))
+        _write(args.mesh_out, write_mesh_text(mesh))
     return 0
 
 
@@ -351,13 +345,13 @@ def _cmd_kernel(args) -> int:
         csv_text = kernel_slice_csv(PoissonSvd.from_basis(basis), point, args.modes)
     else:
         csv_text = kernel_grid_csv(basis, point, args.modes)
-    atomic_write_text(args.out, csv_text)
+    _write(args.out, csv_text)
     return 0
 
 
 def _cmd_extend(args) -> int:
     basis = _load_basis(args)
-    g = _boundary_data(args, basis.mesh)
+    g = _field_data(basis.mesh, "g", args.g_file, args.g_const)
     svd = PoissonSvd.from_basis(basis)
     m = args.modes if args.modes is not None else min(svd.rank - 1, DEFAULT_MODES)
     report = truncation_error_report(g, svd, m)
@@ -374,13 +368,13 @@ def _cmd_extend(args) -> int:
         "coefficients": basis.boundary_coeffs(g)[:m].tolist(),
         "values": field.values.tolist(),
     }
-    atomic_write_text(args.out, dumps_canonical(payload))
+    _write(args.out, dumps_canonical(payload))
     return 0
 
 
 def _cmd_project(args) -> int:
     basis = _load_basis(args)
-    f = _interior_data(args, basis.mesh)
+    f = _field_data(basis.mesh, "f", args.f_file, args.f_const)
     m = args.modes if args.modes is not None else basis.rank
     projection = bergman_project(f, basis, m)
     payload = {
@@ -390,13 +384,15 @@ def _cmd_project(args) -> int:
         "norm_projection": projection.norm_l2(),
         "values": projection.values.tolist(),
     }
-    atomic_write_text(args.out, dumps_canonical(payload))
+    _write(args.out, dumps_canonical(payload))
     return 0
 
 
 def _cmd_verify(args) -> int:
     mesh, descriptor = _domain_mesh(args)
     suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
+    if not suites:
+        raise InputError(f"--suite {args.suite!r} names no suite")
     try:
         results = run_suites(mesh, suites, n_modes=args.modes)
     except ValueError as exc:
@@ -418,7 +414,7 @@ def _cmd_verify(args) -> int:
                 for r in results
             ],
         }
-        atomic_write_text(args.out, dumps_canonical(payload))
+        _write(args.out, dumps_canonical(payload))
     return 2 if failed else 0
 
 
@@ -439,21 +435,15 @@ def main(argv=None) -> int:
         i = argv.index("--x")
         argv[i : i + 2] = [f"--x={argv[i + 1]}"]
     try:
-        cfg = _load_config(argv)
-        parser = _build_parser(cfg)
-        args = parser.parse_args(argv)
+        parser, commands = _build_parser()
+        args = parser.parse_args(_with_config(argv, commands))
         return _HANDLERS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OutsideDomainError, KeyError) as exc:
+    except (InputError, ValueError, OutsideDomainError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:
-        # argparse exits with status 2 on usage errors; reserve 2 for
-        # verification failures and report input problems as 1.
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 1
+        # Only --help and --version leave argparse this way.
+        return 1 if exc.code else 0
 
 
 if __name__ == "__main__":

@@ -5,13 +5,17 @@ sign).  The weak form of the Dirichlet problem is therefore
 
     integral(grad u . grad v) = - integral(f v)   for interior test v.
 
-Boundary fluxes are recovered variationally: ``normal_flux`` returns the
-unique boundary function ``d`` with
+Every solve and flux in the package goes through two array-level
+primitives of :class:`AssembledOperators`: ``dirichlet_solve`` solves this
+weak form from the mass-weighted source ``M f`` and the boundary values,
+and ``boundary_flux`` recovers fluxes variationally.  The flux of ``u`` is
+the unique boundary function ``d`` with
 
     <d, trace(v)>_{dsigma} = integral(grad u . grad v) + integral(f v)
 
-for every test function ``v``, which is the discrete Green-formula flux and
-is superconvergent relative to pointwise gradient sampling.
+for every test function ``v``, that is ``(K u + M f)[boundary] / w``: the
+discrete Green-formula flux, superconvergent relative to pointwise
+gradient sampling.  The field-level functions below wrap the two.
 
 Norm conventions for boundary data: ``norm_dsigma`` is the plain L2 norm
 with respect to arclength measure; ``norm_normalized`` divides the measure
@@ -134,8 +138,8 @@ class AssembledOperators:
     reused by every solver on it:
 
     * ``interior_lu``, the sparse LU of the interior stiffness block,
-      behind every Dirichlet solve, harmonic extension and the
-      shift-invert Dirichlet eigensolve;
+      behind :meth:`dirichlet_solve` (every Dirichlet solve and harmonic
+      extension) and the shift-invert Dirichlet eigensolve;
     * the ``nb x nb`` Gram and Schur forms of the harmonic extension
       (:meth:`boundary_form`) that the dense DBS and DtN eigensolvers
       read (``nb**2`` floats each, with ``nb`` boundary nodes).
@@ -251,13 +255,44 @@ class AssembledOperators:
 
     def extend_boundary_columns(self, g_columns: np.ndarray) -> np.ndarray:
         """Discrete harmonic extension of boundary data, one column per field."""
-        g = np.atleast_2d(np.asarray(g_columns, dtype=float).T).T
-        interior = self.interior_lu.solve(-(self.stiffness_ib @ g))
+        return self.dirichlet_solve(None, np.atleast_2d(np.asarray(g_columns, dtype=float).T).T)
+
+    def dirichlet_solve(self, mf=None, g=None) -> np.ndarray:
+        """Nodal values of ``u`` with ``lap u = f`` and ``u = g`` on the boundary.
+
+        ``mf`` is the mass-weighted source ``M f`` (``n`` rows) and ``g``
+        the boundary values (``nb`` rows); each is a vector or one column
+        per field.  ``None`` means zero, and its term is skipped rather
+        than multiplied out.  The interior rows solve
+        ``A_II u_I = -(M f)_I - K_IB g``.
+        """
+        if mf is None and g is None:
+            return np.zeros(self.n_vertices)
+        if mf is None:
+            rhs = -(self.stiffness_ib @ g)
+        elif g is None:
+            rhs = -mf[self.interior_idx]
+        else:
+            rhs = -mf[self.interior_idx] - self.stiffness_ib @ g
+        interior = self.interior_lu.solve(rhs)
+        del rhs  # not held while ``u`` is allocated
         # Boundary and interior nodes partition the vertices: every row is written.
-        full = np.empty((self.n_vertices, g.shape[1]))
-        full[self.boundary_idx] = g
-        full[self.interior_idx] = interior
-        return full
+        u = np.empty((self.n_vertices,) + interior.shape[1:])
+        u[self.interior_idx] = interior
+        u[self.boundary_idx] = 0.0 if g is None else g
+        return u
+
+    def boundary_flux(self, u: np.ndarray, mf=None) -> np.ndarray:
+        """Consistent normal flux ``(K u + M f)[boundary] / w`` of ``u`` with ``lap u = f``.
+
+        ``u`` and ``mf = M f`` are shaped as in :meth:`dirichlet_solve`;
+        ``mf=None`` means ``f = 0``.
+        """
+        r = (self.stiffness @ u)[self.boundary_idx]
+        if mf is not None:
+            r += mf[self.boundary_idx]
+        w = self.boundary_weights
+        return r / (w[:, None] if r.ndim > 1 else w)
 
 
 _OPERATOR_CACHE: "weakref.WeakKeyDictionary[Mesh, AssembledOperators]" = (
@@ -291,43 +326,29 @@ def interpolate_values(mesh: Mesh, values: np.ndarray, points) -> np.ndarray:
     return (lam[:, None, :] @ corner_values)[:, 0].reshape(tri.shape + values.shape[1:])
 
 
-def _field_values(mesh: Mesh, field, boundary: bool) -> np.ndarray:
-    if field is None:
-        size = mesh.boundary_nodes.shape[0] if boundary else mesh.vertices.shape[0]
-        return np.zeros(size)
-    if boundary and isinstance(field, BoundaryField):
-        return field.values
-    if not boundary and isinstance(field, InteriorField):
-        return field.values
-    kind = "BoundaryField" if boundary else "InteriorField"
-    raise TypeError(f"expected {kind} or None, got {type(field).__name__}")
+def _field_values(field, kind):
+    """``field.values`` of a ``kind`` field, or ``None`` (zero) for ``None``."""
+    if field is not None and not isinstance(field, kind):
+        raise TypeError(f"expected {kind.__name__} or None, got {type(field).__name__}")
+    return None if field is None else field.values
+
+
+def _mass_source(ops: AssembledOperators, f) -> np.ndarray | None:
+    """``M f`` for a source ``f`` (``InteriorField`` or ``None``)."""
+    fv = _field_values(f, InteriorField)
+    return None if fv is None else ops.mass @ fv
 
 
 def solve_dirichlet_poisson(mesh: Mesh, f, g) -> InteriorField:
-    """Solve ``lap u = f`` with Dirichlet data ``u = g`` on the boundary.
+    """Solve ``lap u = f`` with ``u = g`` on the boundary (``None`` means zero).
 
-    Parameters
-    ----------
-    mesh : Mesh
-    f : InteriorField or None
-        Right-hand side (``None`` means zero).
-    g : BoundaryField or None
-        Boundary values (``None`` means zero).
-
-    Returns
-    -------
-    InteriorField
-        Equals ``g`` exactly at boundary nodes and satisfies the discrete
-        weak form at interior nodes.
+    ``f`` is an :class:`InteriorField` and ``g`` a :class:`BoundaryField`.
+    The result equals ``g`` exactly at boundary nodes and satisfies the
+    discrete weak form at interior nodes.
     """
     ops = operators(mesh)
-    fv = _field_values(mesh, f, boundary=False)
-    gv = _field_values(mesh, g, boundary=True)
-    rhs = -(ops.mass @ fv)[ops.interior_idx] - ops.stiffness_ib @ gv
-    u = np.zeros(mesh.vertices.shape[0])
-    u[ops.interior_idx] = ops.interior_lu.solve(rhs)
-    u[ops.boundary_idx] = gv
-    return InteriorField(mesh, u)
+    gv = _field_values(g, BoundaryField)
+    return InteriorField(mesh, ops.dirichlet_solve(_mass_source(ops, f), gv))
 
 
 def harmonic_extension(mesh: Mesh, g) -> InteriorField:
@@ -338,36 +359,30 @@ def harmonic_extension(mesh: Mesh, g) -> InteriorField:
 def normal_flux(mesh: Mesh, u: InteriorField, f) -> BoundaryField:
     """Consistent (variational) normal flux of ``u`` given ``lap u = f``."""
     ops = operators(mesh)
-    fv = _field_values(mesh, f, boundary=False)
-    residual = ops.stiffness @ u.values + ops.mass @ fv
-    return BoundaryField(mesh, residual[ops.boundary_idx] / ops.boundary_weights)
+    return BoundaryField(mesh, ops.boundary_flux(u.values, _mass_source(ops, f)))
 
 
 def dtn_apply(mesh: Mesh, g: BoundaryField) -> BoundaryField:
     """Dirichlet-to-Neumann map: flux of the harmonic extension of ``g``."""
-    return normal_flux(mesh, harmonic_extension(mesh, g), None)
+    ops = operators(mesh)
+    return BoundaryField(mesh, ops.boundary_flux(ops.dirichlet_solve(None, g.values)))
 
 
 def t_apply(mesh: Mesh, g: BoundaryField) -> BoundaryField:
     """Flux of the zero-trace Poisson solve driven by the extension of ``g``.
 
     Composition: extend ``g`` harmonically to ``h``, solve ``lap b = h``
-    with zero trace, return the consistent flux of ``b``.  Boundary
-    eigenfunctions of the biharmonic Steklov problem satisfy
-    ``t_apply(g) = g / q`` for the corresponding eigenvalue ``q``.
+    with zero trace, return the consistent flux of ``b``; ``M h`` is formed
+    once for both.  Boundary eigenfunctions of the biharmonic Steklov
+    problem satisfy ``t_apply(g) = g / q`` for the corresponding
+    eigenvalue ``q``.
     """
-    h = harmonic_extension(mesh, g)
-    b = solve_dirichlet_poisson(mesh, h, None)
-    return normal_flux(mesh, b, h)
+    ops = operators(mesh)
+    mh = ops.mass @ ops.dirichlet_solve(None, g.values)
+    return BoundaryField(mesh, ops.boundary_flux(ops.dirichlet_solve(mh), mh))
 
 
-def green_identity_residual(
-    mesh: Mesh,
-    u: InteriorField,
-    v: InteriorField,
-    fu,
-    fv,
-) -> float:
+def green_identity_residual(mesh: Mesh, u: InteriorField, v: InteriorField, fu, fv) -> float:
     """Defect in the second Green identity for two discrete solutions.
 
     Both ``(u, fu)`` and ``(v, fv)`` must satisfy the discrete equation
@@ -379,11 +394,10 @@ def green_identity_residual(
     is then at rounding level.
     """
     ops = operators(mesh)
-    fuv = _field_values(mesh, fu, boundary=False)
-    fvv = _field_values(mesh, fv, boundary=False)
-    du = normal_flux(mesh, u, fu)
-    dv = normal_flux(mesh, v, fv)
-    volume = u.values @ (ops.mass @ fvv) - v.values @ (ops.mass @ fuv)
+    mfu, mfv = _mass_source(ops, fu), _mass_source(ops, fv)
+    du = BoundaryField(mesh, ops.boundary_flux(u.values, mfu))
+    dv = BoundaryField(mesh, ops.boundary_flux(v.values, mfv))
+    volume = (0.0 if mfv is None else u.values @ mfv) - (0.0 if mfu is None else v.values @ mfu)
     boundary = ops.boundary_length * (
         dv.inner_normalized(trace(u)) - du.inner_normalized(trace(v))
     )

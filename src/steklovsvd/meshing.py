@@ -599,49 +599,44 @@ def read_mesh_text(text: str) -> Mesh:
     The geometry tag is not part of the format, so meshes read back are
     treated as straight-sided polygons by :func:`refine`.
     """
-    tokens = text.split("\n")
+    lines = [line for line in map(str.strip, text.split("\n")) if line]
     pos = 0
 
-    def take() -> str:
+    def take(count: int) -> list[str]:
         nonlocal pos
-        while pos < len(tokens) and not tokens[pos].strip():
-            pos += 1
-        if pos >= len(tokens):
+        if pos + count > len(lines):
             raise ValueError("truncated mesh text")
-        line = tokens[pos].strip()
-        pos += 1
-        return line
+        pos += count
+        return lines[pos - count : pos]
 
     def header(name: str) -> int:
         """Count on the next line, which must read ``<name> <count>``."""
-        line = take()
+        (line,) = take(1)
         words = line.split()
         if len(words) != 2 or words[0] != name or not words[1].isdigit():
             raise ValueError(f"expected a '{name} <count>' header, got {line!r}")
-        # Each counted item takes at least one character of the text.
-        if int(words[1]) > len(text):
-            raise ValueError(f"'{name}' count {words[1]} exceeds the mesh text")
+        # Nothing is allocated from the count: a count past the text fails as truncated.
         return int(words[1])
 
-    n = header("nodes")
-    vertices = np.empty((n, 2))
-    flags = np.empty(n, dtype=int)
-    for i in range(n):
-        x, y, fb = take().split()
-        vertices[i] = (float(x), float(y))
-        flags[i] = int(fb)
-    t = header("triangles")
-    triangles = np.empty((t, 3), dtype=np.int64)
-    for i in range(t):
-        triangles[i] = [int(w) for w in take().split()]
-    n_loops = header("boundary_loops")
+    def rows(name: str, dtype, width: int) -> np.ndarray:
+        """The ``name`` section as one array, one row of ``width`` values per line."""
+        count = header(name)
+        if count == 0:
+            return np.empty((0, width), dtype)
+        block = np.loadtxt(take(count), dtype=dtype, comments=None, ndmin=2)
+        if block.shape[1] != width:
+            raise ValueError(f"expected {width} values per '{name}' row")
+        return block
+
+    nodes = rows("nodes", float, 3)
+    vertices, flags = nodes[:, :2], nodes[:, 2]
+    triangles = rows("triangles", np.int64, 3)
     loops = []
-    for _ in range(n_loops):
+    for _ in range(header("boundary_loops")):
         length = header("loop")
-        idx = [int(w) for w in take().split()]
-        if len(idx) != length:
+        loops.append(np.array(take(1)[0].split(), dtype=np.int64))
+        if loops[-1].size != length:
             raise ValueError("loop length mismatch")
-        loops.append(np.array(idx, dtype=np.int64))
 
     mesh = Mesh(vertices, triangles, geometry=("polygon",))
     if not np.array_equal(mesh.is_boundary.astype(int), flags):

@@ -382,10 +382,8 @@ def dbs_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") -> SpectralBa
     h_mat /= scale
     mh /= scale
     g_cols = g_cols / scale
-    b_mat = np.zeros_like(h_mat)
-    b_mat[ops.interior_idx] = ops.interior_lu.solve(-mh[ops.interior_idx])
-    residual = ops.stiffness @ b_mat + mh
-    flux = residual[ops.boundary_idx] / ops.boundary_weights[:, None]
+    b_mat = ops.dirichlet_solve(mh)
+    flux = ops.boundary_flux(b_mat, mh)
     w_mat = np.sqrt(q * mesh.boundary_length)[None, :] * flux
 
     # Rotate the finished orthonormal systems: cluster rotations then leave
@@ -466,9 +464,8 @@ def dirichlet_laplacian_eigensolve(mesh: Mesh, n_modes: int) -> list[DirichletEi
     _canonicalize_clusters(vals, [e_mat], e_mat[ops.interior_idx])
     _fix_signs([e_mat], e_mat)
 
-    # normal_flux of every mode at once, with f = -lam e.
-    residual = ops.stiffness @ e_mat + ops.mass @ (e_mat * -vals)
-    flux = residual[ops.boundary_idx] / ops.boundary_weights[:, None]
+    # The flux of every mode at once, with f = -lam e.
+    flux = ops.boundary_flux(e_mat, ops.mass @ (e_mat * -vals))
     return [
         DirichletEigenpair(float(lam), InteriorField(mesh, e), BoundaryField(mesh, d))
         for lam, e, d in zip(vals, e_mat.T, flux.T)

@@ -60,10 +60,34 @@ class TestEigensolveCommands:
         assert data["boundary_length"] == pytest.approx(2 * math.pi, rel=0.01)
 
     def test_byte_determinism(self, tmp_path, basis_file):
-        again = tmp_path / "basis2.json"
-        assert run(["dbs", "--domain", "disk", "--radius", "1", "--h", "0.1",
-                    "--modes", "12", "--out", again]) == 0
-        assert again.read_bytes() == basis_file.read_bytes()
+        # Every writer, run twice in one process, writes the same bytes.
+        verts = tmp_path / "verts.txt"
+        verts.write_text("0 0\n2 0\n3 2\n1 3\n-1 1\n")
+        polygon = ["--domain", "polygon", "--vertices-file", verts, "--h", "0.4"]
+        basis = ["--basis", basis_file]
+        writers = {
+            "mesh_disk": ["mesh", "--h", "0.2"],
+            "mesh_polygon": ["mesh", *polygon],
+            "dbs_disk": ["dbs", "--h", "0.1", "--modes", "12", "--mesh-out", "{out}.mesh"],
+            "dbs_polygon": ["dbs", *polygon, "--modes", "5"],
+            "steklov": ["steklov", "--h", "0.2", "--modes", "5"],
+            "laplace_eigs": ["laplace-eigs", "--h", "0.2", "--modes", "3"],
+            "kernel_poisson": ["kernel", *basis, "--x", "0.1,0.2"],
+            "kernel_bergman": ["kernel", *basis, "--x", "0.1,0.2", "--which", "bergman"],
+            "extend": ["extend", *basis, "--g-const", "1.5", "--modes", "5"],
+            "project": ["project", *basis, "--f-const", "2.0"],
+            "verify_disk": ["verify", "--h", "0.2", "--modes", "8"],
+            "verify_polygon": ["verify", *polygon, "--modes", "10"],
+        }
+        for name, argv in writers.items():
+            files = []
+            for attempt in ("a", "b"):
+                out = tmp_path / f"{name}.{attempt}"
+                assert run([str(a).format(out=out) for a in argv] + ["--out", out]) == 0, name
+                files.append([p.read_bytes() for p in sorted(tmp_path.glob(f"{out.name}*"))])
+            assert len(files[0]) == (2 if name == "dbs_disk" else 1)
+            assert files[0] == files[1], name
+        assert (tmp_path / "dbs_disk.a").read_bytes() == basis_file.read_bytes()
 
     def test_steklov_output(self, tmp_path):
         out = tmp_path / "steklov.json"
@@ -154,6 +178,13 @@ class TestConfigFile:
         assert run(["dbs", "--config", cfg, "--domain", "disk", "--out", out]) == 0
         assert json.loads(out.read_text())["M"] == 4
 
+    def test_config_flag_with_equals_sign(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": 0.15, "modes": 4}))
+        out = tmp_path / "b.json"
+        assert run(["dbs", f"--config={cfg}", "--out", out]) == 0
+        assert json.loads(out.read_text())["M"] == 4
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"modes": 4}))
@@ -205,7 +236,10 @@ class TestVerifyCommand:
 
 
 def assert_one_input_error(code, capsys, recwarn, out):
-    """Exit 1, one ``error:`` line, no traceback or warning, and no output file."""
+    """Exit 1, one ``error:`` line, no traceback or warning, and no output file.
+
+    Returns the error output.
+    """
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err.count("error:") == 1
@@ -213,6 +247,66 @@ def assert_one_input_error(code, capsys, recwarn, out):
     assert "Traceback" not in captured.err
     assert not recwarn.list, [str(w.message) for w in recwarn.list]
     assert not out.exists()
+    return captured.err
+
+
+class TestConfigAndFlagErrors:
+    # case -> (config file contents or None, flags, text of the error line)
+    CASES = {
+        "config_h_list": ({"h": [1]}, [], "argument --h: invalid float value: '[1]'"),
+        "config_modes_fraction": (
+            {"modes": 2.5}, [], "argument --modes: invalid int value: '2.5'"
+        ),
+        "config_radius_null": (
+            {"radius": None}, [], "argument --radius: invalid float value: 'null'"
+        ),
+        "config_domain_unknown": (
+            {"domain": "square"}, [], "argument --domain: invalid choice: 'square'"
+        ),
+        "config_h_bool": ({"h": True}, [], "argument --h: invalid float value: 'true'"),
+        "config_path_null": (
+            {"mesh_out": None}, [], "config entry 'mesh_out' must be a string, got null"
+        ),
+        "flag_modes_word": (None, ["--modes", "abc"], "argument --modes: invalid int value: 'abc'"),
+        "flag_unknown": (None, ["--frobnicate"], "unrecognized arguments: --frobnicate"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_error_line_and_exit_one(self, tmp_path, capsys, recwarn, case):
+        config, flags, message = self.CASES[case]
+        argv = ["dbs", "--out", tmp_path / "b.json", *flags]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", tmp_path / "cfg.json"]
+        err = assert_one_input_error(run(argv), capsys, recwarn, tmp_path / "b.json")
+        assert message in err
+
+    def test_keys_of_other_commands_are_ignored(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": 0.3, "modes": 3, "which": "bergman", "g_const": 1}))
+        assert run(["dbs", "--config", cfg, "--out", tmp_path / "b.json"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mesh", "--h", "0.3", "--out", "{bad}"],
+            ["dbs", "--h", "0.3", "--modes", "3", "--out", "{ok}", "--mesh-out", "{bad}"],
+        ],
+        ids=["mesh_out_file", "dbs_mesh_out"],
+    )
+    def test_unwritable_output(self, tmp_path, capsys, recwarn, argv):
+        bad = tmp_path / "absent" / "m.txt"
+        argv = [a.format(bad=bad, ok=tmp_path / "b.json") for a in argv]
+        err = assert_one_input_error(run(argv), capsys, recwarn, bad)
+        assert err == f"error: cannot write {bad}: No such file or directory\n"
+
+    @pytest.mark.parametrize("suite", [",", " , ,"])
+    def test_empty_suite_selection(self, tmp_path, capsys, recwarn, suite):
+        out = tmp_path / "report.json"
+        code = run(["verify", "--suite", suite, "--h", "0.3", "--out", out])
+        err = assert_one_input_error(code, capsys, recwarn, out)
+        assert "names no suite" in err
+        assert capsys.readouterr().out == ""
 
 
 class TestInputFileErrors:
