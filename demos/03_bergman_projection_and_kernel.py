@@ -41,7 +41,7 @@ print("delta property on harmonic polynomials at x0 = (0.3, 0):")
 for name, fn in [("x", lambda x, y: x), ("x^2-y^2", lambda x, y: x * x - y * y)]:
     k = InteriorField.from_function(mesh, fn)
     coeffs = basis.h_matrix.T @ (ops.mass @ k.values)
-    integral = float(kernel._mode_values((0.3, 0.0)) @ coeffs)
+    integral = float(basis.harmonic_values((0.3, 0.0)) @ coeffs)
     print(f"  integral R_M((0.3, 0), .) * {name:8s} = {integral:+.6f}  "
           f"target {fn(np.float64(0.3), np.float64(0.0)):+.6f}")
 

@@ -3,7 +3,8 @@
 All floats are rendered with 17 significant digits (``%.17g``) so identical
 inputs produce byte-identical files; :func:`format_floats` is the one
 routine that turns floats into text, a row at a time.  Writes go through a
-temporary file in the target directory followed by an atomic rename.
+temporary file in the target directory followed by an atomic rename; files
+written together appear together or not at all.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -62,15 +62,26 @@ def dumps_canonical(obj) -> str:
     return _canonical(obj) + "\n"
 
 
-def atomic_write_text(path: str, text: str):
-    """Write via a sibling temp file and rename, so readers never see partial output."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+def atomic_write_text(path: str, text: str, *more: tuple[str, str]):
+    """Write ``text`` to ``path``, and each further ``(path, text)`` pair, all or none.
+
+    Each text goes to a sibling temporary file with the mode ``open`` would
+    give the target; the renames start only once all are written, so a
+    failed write leaves no file behind.  An ``OSError`` names its output.
+    """
+    outputs = ((path, text), *more)
+    staged = []
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for target, content in outputs:
+            directory = os.path.dirname(os.path.abspath(target))
+            with open(os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part"), "x") as fh:
+                staged.append(fh.name)
+                fh.write(content)
+        for tmp, (target, _) in zip(staged, outputs):
+            os.replace(tmp, target)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, target) from exc
+    finally:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)

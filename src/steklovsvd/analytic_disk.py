@@ -328,18 +328,22 @@ def disk_poisson_kernel_exact(x, z, radius: float = 1.0) -> float:
 # -- frozen oracle table -----------------------------------------------------------
 
 
-def build_oracle_table(
-    max_k: int = 8, max_m: int = 4, radii=(1.0, 2.0)
-) -> list[DiskMode]:
+# Extent of the frozen table: angular orders, Dirichlet radial orders, radii.
+_TABLE_MAX_K = 8
+_TABLE_MAX_M = 4
+_TABLE_RADII = (1.0, 2.0)
+
+
+def build_oracle_table() -> list[DiskMode]:
     """Recompute the disk eigenvalue table from the closed forms above."""
     rows = []
-    for R in radii:
-        for k in range(max_k + 1):
+    for R in _TABLE_RADII:
+        for k in range(_TABLE_MAX_K + 1):
             parities = ("cos",) if k == 0 else ("cos", "sin")
             for parity in parities:
                 rows.append(DiskMode("dbs", k, 0, parity, R, (2.0 * k + 2.0) / R))
                 rows.append(DiskMode("steklov", k, 0, parity, R, k / R))
-                for m in range(1, max_m + 1):
+                for m in range(1, _TABLE_MAX_M + 1):
                     lam = (bessel_j_zero(k, m) / R) ** 2
                     rows.append(DiskMode("dirichlet", k, m, parity, R, lam))
     return rows
@@ -355,13 +359,9 @@ def oracle_table_csv(rows: list[DiskMode]) -> str:
     return buf.getvalue()
 
 
-def load_oracle_table(path=None) -> list[DiskMode]:
-    """Load the frozen table shipped with the package (or from ``path``)."""
-    if path is None:
-        text = resources.files("steklovsvd").joinpath("data/disk_oracle.csv").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+def load_oracle_table() -> list[DiskMode]:
+    """Load the frozen table shipped with the package."""
+    text = resources.files("steklovsvd").joinpath("data/disk_oracle.csv").read_text()
     rows = []
     reader = csv.DictReader(io.StringIO(text))
     for rec in reader:

@@ -11,7 +11,8 @@ L2-orthonormal set of harmonic functions; truncating at rank ``M`` gives
 * the minimal-energy biharmonic extension of Neumann boundary data, and
 * the harmonic trace series mapping interior coefficients to boundary data.
 
-Kernel point evaluation uses barycentric interpolation and is only
+Kernel point evaluation reads ``h_j`` through
+:meth:`SpectralBasis.harmonic_values`, which interpolates and is only
 accurate away from the boundary; evaluation points must keep a configured
 margin (one element diameter by default) from the boundary.
 """
@@ -24,14 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._serialize import format_floats
-from .errors import OutsideDomainError, TruncationWarning
-from .fem import (
-    BoundaryField,
-    InteriorField,
-    interpolate_values,
-    operators,
-)
+from .errors import CapacityError, TruncationWarning
+from .fem import BoundaryField, InteriorField, operators
 from .spectra import SpectralBasis
+
+_FLUX_TOL = 1e-2
+_SETTLE_TOL = 1e-3
+_NEUMANN_TAIL_TOL = 1e-4
 
 __all__ = [
     "bergman_project",
@@ -56,48 +56,28 @@ class TruncatedKernel:
     """Rank-``m`` reproducing kernel of the harmonic Bergman space.
 
     Symmetric and positive semidefinite by construction.  Evaluation
-    points must be at least ``margin`` inside the boundary; the default
-    margin is one element diameter.  Point interpolations are cached;
-    the cache is only ever appended to, so concurrent readers are safe.
+    points must be at least ``margin`` inside the boundary; ``None`` means
+    the default of :meth:`SpectralBasis.harmonic_values`, one element
+    diameter.
     """
 
     def __init__(self, basis: SpectralBasis, m: int | None = None, margin: float | None = None):
         self.basis = basis
         self.m = basis.truncation_rank(m)
-        self.margin = basis.mesh.max_edge_length if margin is None else float(margin)
-        self._cache: dict[tuple[float, float], np.ndarray] = {}
-
-    def _mode_values(self, point) -> np.ndarray:
-        return self._mode_rows([point])[0]
-
-    def _mode_rows(self, points) -> np.ndarray:
-        """Rows ``h_j(x)`` of the first ``m`` modes, one per point; each new point
-        is checked against the margin, and all are interpolated in one call."""
-        keys = [tuple(p) for p in np.asarray(points, dtype=float).reshape(-1, 2).tolist()]
-        new = [k for k in dict.fromkeys(keys) if k not in self._cache]
-        if new:
-            mesh = self.basis.mesh
-            for key in new:
-                if mesh.distance_to_boundary(key) < self.margin:
-                    raise OutsideDomainError(
-                        f"point {key} is within the boundary margin {self.margin}"
-                    )
-            vals = interpolate_values(mesh, self.basis.h_matrix[:, : self.m], new)
-            self._cache.update(zip(new, vals))
-        return np.stack([self._cache[k] for k in keys])
+        self.margin = margin
 
     def eval(self, x, y) -> float:
-        hx, hy = self._mode_rows([x, y])
+        hx, hy = self.basis.harmonic_values([x, y], self.m, self.margin)
         return float(hx @ hy)
 
     def gram(self, points) -> np.ndarray:
         """Kernel Gram matrix of a point set (positive semidefinite)."""
-        v = self._mode_rows(points)
+        v = self.basis.harmonic_values(points, self.m, self.margin)
         return v @ v.T
 
     def values_on_vertices(self, x) -> np.ndarray:
         """Raw truncated series ``R_M(x, .)`` sampled at every mesh vertex."""
-        hx = self._mode_values(x)
+        hx = self.basis.harmonic_values(x, self.m, self.margin)
         return self.basis.h_matrix[:, : self.m] @ hx
 
 
@@ -118,8 +98,8 @@ class BergmanDecomposition:
 
     ``potential`` has zero trace; ``flux_norm`` is the normalized boundary
     norm of its recovered flux, which vanishes as the truncation rank and
-    the mesh are refined.  ``converged`` records whether the flux is below
-    the requested tolerance.
+    the mesh are refined.  ``converged`` records whether the flux is at most
+    ``1e-2`` times the root-mean-square of ``f``.
     """
 
     harmonic: InteriorField
@@ -133,8 +113,6 @@ def biharmonic_potential(
     f: InteriorField,
     basis: SpectralBasis,
     m: int | None = None,
-    flux_tol: float = 1e-2,
-    tail_tol: float = 1e-3,
 ) -> BergmanDecomposition:
     """Biharmonic potential of ``f``: zero-trace ``psi`` with ``lap psi = f - P_H f``.
 
@@ -142,14 +120,14 @@ def biharmonic_potential(
     recovered with a single Dirichlet solve; membership in the zero-flux
     class is checked a posteriori through the recovered flux.  A
     :class:`TruncationWarning` is raised when the projection has not yet
-    settled between ranks ``m - 5`` and ``m``.
+    settled between ranks ``m - 5`` and ``m`` (relative change above 1e-3).
     """
     m = basis.truncation_rank(m)
     coeffs = basis.interior_coeffs(f)[:m]
     scale = max(f.norm_l2(), 1e-300)
     if m > 5:
         settle = float(np.sqrt(np.sum(coeffs[m - 5 :] ** 2))) / scale
-        if settle > tail_tol:
+        if settle > _SETTLE_TOL:
             warnings.warn(
                 f"projection still moving between ranks {m - 5} and {m} "
                 f"(relative change {settle:.3e})",
@@ -164,7 +142,7 @@ def biharmonic_potential(
     flux_norm = BoundaryField(basis.mesh, ops.boundary_flux(psi.values, mr)).norm_normalized()
     rms = scale / np.sqrt(basis.mesh.area)
     return BergmanDecomposition(
-        harmonic, psi, remainder, flux_norm, bool(flux_norm <= flux_tol * rms)
+        harmonic, psi, remainder, flux_norm, bool(flux_norm <= _FLUX_TOL * rms)
     )
 
 
@@ -172,20 +150,20 @@ def neumann_biharmonic_extension(
     eta: BoundaryField,
     basis: SpectralBasis,
     m: int | None = None,
-    tail_tol: float = 1e-4,
 ) -> InteriorField:
     """Minimal-Laplacian-norm biharmonic field with zero trace and flux ``eta``.
 
     Expands ``eta`` over the boundary functions ``w_j`` and returns
     ``sum_j sqrt(q_j |bdy|) <eta, w_j> b_j``; its squared Laplacian norm is
-    ``|bdy| * sum_j q_j <eta, w_j>**2``.  Slow coefficient decay raises a
-    :class:`TruncationWarning`.
+    ``|bdy| * sum_j q_j <eta, w_j>**2``.  A :class:`TruncationWarning` is
+    raised when more than 1e-4 of the squared norm of ``eta`` lies beyond
+    rank ``m``.
     """
     m = basis.truncation_rank(m)
     ghat = basis.boundary_coeffs(eta)[:m]
     total = eta.inner_normalized(eta)
     tail = total - float(ghat @ ghat)
-    if tail > tail_tol * max(total, 1e-300):
+    if tail > _NEUMANN_TAIL_TOL * max(total, 1e-300):
         warnings.warn(
             f"flux data tail {tail:.3e} above tolerance; extend the basis",
             TruncationWarning,
@@ -203,7 +181,7 @@ def harmonic_trace(k_coeffs, basis: SpectralBasis) -> BoundaryField:
     """
     c = np.asarray(k_coeffs, dtype=float)
     if c.size > basis.rank:
-        raise ValueError("more coefficients than basis modes")
+        raise CapacityError("more coefficients than basis modes")
     k = c.size
     weights = np.sqrt(basis.q[:k]) * c / np.sqrt(basis.boundary_length)
     return BoundaryField(basis.mesh, basis.w_matrix[:, :k] @ weights)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 
@@ -65,6 +66,20 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _read_json_object(path, what) -> dict:
+    """The JSON object in the ``what`` file at ``path``."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{what} file must contain a JSON object")
+    return data
+
+
 def _with_config(argv, commands) -> list:
     """``argv`` with its ``--config`` entries for the command's flags first, as ``--flag=value``.
 
@@ -78,15 +93,7 @@ def _with_config(argv, commands) -> list:
     path = pre.parse_known_args(argv)[0].config
     if path is None:
         return argv
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise InputError("config file must contain a JSON object")
+    cfg = _read_json_object(path, "config")
     if argv[0] not in commands:
         return argv
     actions = {a.dest: a for a in commands[argv[0]]._actions if a.nargs != 0}
@@ -167,11 +174,14 @@ def _load_table(path, what, **kwargs) -> np.ndarray:
         with warnings.catch_warnings():
             # A file without data is an input error, not a warning and an empty table.
             warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(path, **kwargs)
+            table = np.loadtxt(path, **kwargs)
     except UserWarning as exc:
         raise InputError(f"{what} file {path} contains no data") from exc
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {what} file: {exc}") from exc
+    if not np.all(np.isfinite(table)):
+        raise InputError(f"{what} file {path} contains a non-finite value")
+    return table
 
 
 def _read_mesh_file(path) -> Mesh:
@@ -226,15 +236,7 @@ def _rebuild_from_descriptor(descriptor) -> Mesh | None:
 
 
 def _load_basis(args):
-    try:
-        with open(args.basis) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read basis file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"basis file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError("basis file must contain a JSON object")
+    data = _read_json_object(args.basis, "basis")
     if args.mesh:
         mesh = _read_mesh_file(args.mesh)
     elif "domain" not in data:
@@ -258,6 +260,8 @@ def _parse_point(text):
         x, y = (float(t) for t in text.split(","))
     except ValueError as exc:
         raise InputError(f"expected a point 'x,y', got {text!r}") from exc
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InputError(f"expected a point 'x,y' with finite coordinates, got {text!r}")
     return np.array([x, y])
 
 
@@ -270,6 +274,8 @@ def _field_data(mesh, kind, path, const):
         "f": (InteriorField, "interior data", mesh.vertices.shape[0], "vertices"),
     }[kind]
     if const is not None:
+        if not math.isfinite(const):
+            raise InputError(f"--{kind}-const must be finite, got {const}")
         return cls.constant(mesh, const)
     vals = _load_table(path, what).ravel()
     if vals.size != size:
@@ -280,11 +286,11 @@ def _field_data(mesh, kind, path, const):
 # -- command handlers ----------------------------------------------------------------
 
 
-def _write(path, text):
+def _write(path, text, *more):
     try:
-        atomic_write_text(path, text)
+        atomic_write_text(path, text, *more)
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise InputError(f"cannot write {exc.filename}: {exc.strerror or exc}") from exc
 
 
 def _cmd_mesh(args) -> int:
@@ -332,9 +338,9 @@ def _cmd_eigen(args) -> int:
     solve, payload = _EIGEN_COMMANDS[args.command]
     result = solve(mesh, args.modes)
     # No name holds the payload, so it is freed before the mesh text is built.
-    _write(args.out, dumps_canonical(payload(mesh, descriptor, result)))
-    if args.mesh_out:
-        _write(args.mesh_out, write_mesh_text(mesh))
+    text = dumps_canonical(payload(mesh, descriptor, result))
+    mesh_output = [(args.mesh_out, write_mesh_text(mesh))] if args.mesh_out else []
+    _write(args.out, text, *mesh_output)
     return 0
 
 

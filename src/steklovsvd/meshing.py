@@ -270,7 +270,7 @@ class Mesh:
     def boundary_length(self) -> float:
         return float(self.edge_weights.sum())
 
-    @property
+    @cached_property
     def max_edge_length(self) -> float:
         p = self.vertices[self.triangles]
         lengths = [np.hypot(*(p[:, i] - p[:, j]).T) for i, j in ((0, 1), (1, 2), (2, 0))]
@@ -290,16 +290,16 @@ class Mesh:
             lines.append(" ".join(map(str, loop.tolist())))
         return "\n".join(lines) + "\n"
 
-    def validate(self):
-        """Check mesh invariants; raises ``ValueError`` on violation."""
-        if np.any(self.interior_weights <= 0):
-            raise ValueError("triangle with non-positive area")
-        # Outward orientation: normal points away from the owning triangle's centroid.
-        mid = 0.5 * (
-            self.vertices[self.boundary_edges[:, 0]] + self.vertices[self.boundary_edges[:, 1]]
-        )
+    def outward_clearance(self) -> np.ndarray:
+        """Per boundary edge, its normal dotted with the vector from the owning
+        triangle's centroid to the edge midpoint: positive where the normal points out."""
+        ends = self.vertices[self.boundary_edges]
         centroid = self.vertices[self.triangles[self._edge_owner_triangle]].mean(axis=1)
-        if np.any(np.einsum("ij,ij->i", self.normals, mid - centroid) <= 0):
+        return np.einsum("ij,ij->i", self.normals, 0.5 * (ends[:, 0] + ends[:, 1]) - centroid)
+
+    def validate(self):
+        """Check the invariants that construction leaves open; raises ``ValueError``."""
+        if np.any(self.outward_clearance() <= 0):
             raise ValueError("boundary normal does not point outward")
         # Quadrature exactness against the shoelace formula on the boundary polygon.
         shoelace, _ = boundary_polygon_measures(self)
@@ -374,22 +374,30 @@ class Mesh:
         tri, lam = self.locate_many(np.asarray(point, dtype=float)[None])
         return int(tri[0]), lam[0]
 
-    def distance_to_boundary(self, point) -> float:
-        """Euclidean distance from ``point`` to the polygonal boundary."""
-        point = np.asarray(point, dtype=float)
+    def distance_to_boundary(self, points):
+        """Euclidean distances from ``points`` (..., 2) to the polygonal boundary, shape (...)."""
+        points = np.asarray(points, dtype=float)
         a = self.vertices[self.boundary_edges[:, 0]]
         b = self.vertices[self.boundary_edges[:, 1]]
-        return float(np.min(_segment_distances(point, a, b)))
+        return np.min(_segment_distances(points, a, b), axis=-1)
 
 
 # -- generators -----------------------------------------------------------------
 
 
-def build_disk_mesh(radius: float, n_radial: int, n_angular: int, grading: float = 0.8) -> Mesh:
+def _require_positive(name: str, value: float):
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+_GRADING = 0.8
+
+
+def build_disk_mesh(radius: float, n_radial: int, n_angular: int) -> Mesh:
     """Triangulate the regular ``n_angular``-gon inscribed in a circle.
 
     Vertices are placed on ``n_radial`` concentric rings plus the center.
-    Ring radii follow ``radius * (i / n_radial) ** grading`` so spacing
+    Ring radii follow ``radius * (i / n_radial) ** 0.8`` so spacing
     tightens toward the boundary; each ring carries a number of nodes
     proportional to its circumference, and the outer ring carries exactly
     ``n_angular`` nodes lying on the circle, starting at angle zero.
@@ -397,13 +405,11 @@ def build_disk_mesh(radius: float, n_radial: int, n_angular: int, grading: float
     Parameters
     ----------
     radius : float
-        Circle radius, must be positive.
+        Circle radius, must be positive and finite.
     n_radial : int
         Number of rings, at least 1.
     n_angular : int
         Nodes on the boundary circle, at least 3.
-    grading : float
-        Radial grading exponent in (0, 1]; 1 gives uniform rings.
 
     Returns
     -------
@@ -413,14 +419,11 @@ def build_disk_mesh(radius: float, n_radial: int, n_angular: int, grading: float
         raise ValueError(f"n_angular must be >= 3, got {n_angular}")
     if n_radial < 1:
         raise ValueError(f"n_radial must be >= 1, got {n_radial}")
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if not 0 < grading <= 1:
-        raise ValueError(f"grading must lie in (0, 1], got {grading}")
+    _require_positive("radius", radius)
 
     points = [np.zeros((1, 2))]
     for i in range(1, n_radial + 1):
-        r = radius * (i / n_radial) ** grading
+        r = radius * (i / n_radial) ** _GRADING
         if i == n_radial:
             m = n_angular
             offset = 0.0
@@ -438,24 +441,22 @@ def build_disk_mesh(radius: float, n_radial: int, n_angular: int, grading: float
     return Mesh(pts, triangles, ("disk", 0.0, 0.0, float(radius)), areas=np.abs(areas))
 
 
-def disk_mesh(radius: float, target_h: float, grading: float = 0.8) -> Mesh:
+def disk_mesh(radius: float, target_h: float) -> Mesh:
     """Disk mesh with boundary spacing close to ``target_h``."""
-    if not target_h > 0:
-        raise ValueError(f"target_h must be positive, got {target_h}")
+    _require_positive("radius", radius)
+    _require_positive("target_h", target_h)
     n_angular = max(12, int(round(2.0 * math.pi * radius / target_h)))
     n_radial = max(2, int(round(radius / target_h)))
-    return build_disk_mesh(radius, n_radial, n_angular, grading=grading)
+    return build_disk_mesh(radius, n_radial, n_angular)
 
 
 def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances from ``points`` (..., 2) to the segments ``a``-``b`` (s, 2), shape (..., s)."""
-    points = np.asarray(points)[..., None, :]
-    ab = b - a
-    rel = points - a
-    dots = rel[..., 0] * ab[:, 0] + rel[..., 1] * ab[:, 1]
-    t = np.clip(dots / (ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]), 0.0, 1.0)
-    gap = points - (a + t[..., None] * ab)
-    return np.hypot(gap[..., 0], gap[..., 1])
+    # x and y apart, so each temporary is one (..., s) array.
+    x, y = np.asarray(points)[..., 0, None], np.asarray(points)[..., 1, None]
+    (ax, ay), (abx, aby) = a.T, (b - a).T
+    t = np.clip(((x - ax) * abx + (y - ay) * aby) / (abx * abx + aby * aby), 0.0, 1.0)
+    return np.hypot(x - (ax + t * abx), y - (ay + t * aby))
 
 
 def build_polygon_mesh(vertices, target_h: float) -> Mesh:
@@ -469,22 +470,23 @@ def build_polygon_mesh(vertices, target_h: float) -> Mesh:
     Parameters
     ----------
     vertices : (k, 2) array_like
-        Polygon corners in counterclockwise order, strictly convex.
+        Polygon corners in counterclockwise order, strictly convex, finite.
     target_h : float
-        Target spacing, must be positive.
+        Target spacing, must be positive and finite.
 
     Raises
     ------
     ValueError
         For clockwise, self-intersecting, or non-convex input (the latter
-        with an explicit "convexity required" message), or non-positive
-        ``target_h``.
+        with an explicit "convexity required" message), a non-finite
+        corner, or a non-positive or non-finite ``target_h``.
     """
     corners = np.asarray(vertices, dtype=float)
     if corners.ndim != 2 or corners.shape[1] != 2 or corners.shape[0] < 3:
         raise ValueError("polygon needs at least 3 planar vertices")
-    if not target_h > 0:
-        raise ValueError(f"target_h must be positive, got {target_h}")
+    if not np.all(np.isfinite(corners)):
+        raise ValueError("polygon corners must be finite")
+    _require_positive("target_h", target_h)
     nxt = np.roll(corners, -1, axis=0)
     signed_area = 0.5 * float(np.sum(corners[:, 0] * nxt[:, 1] - nxt[:, 0] * corners[:, 1]))
     if signed_area <= 0:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._serialize import format_floats
 from .errors import CapacityError, OutsideDomainError
-from .fem import BoundaryField, InteriorField, harmonic_extension, interpolate_values
+from .fem import BoundaryField, InteriorField, harmonic_extension
 from .spectra import SpectralBasis
 
 __all__ = [
@@ -90,13 +90,6 @@ def _boundary_node_index(svd: PoissonSvd, z) -> int:
     return idx
 
 
-def _require_boundary_margin(mesh, x) -> None:
-    """Raise unless ``x`` keeps one element diameter from the boundary."""
-    if mesh.distance_to_boundary(x) < mesh.max_edge_length:
-        point = tuple(np.asarray(x, dtype=float).tolist())
-        raise OutsideDomainError(f"point {point} is within the boundary margin")
-
-
 def poisson_kernel_eval(svd: PoissonSvd, m: int | None, x, z) -> float:
     """Truncated Poisson kernel ``P_M(x, z)`` at an interior point and boundary node.
 
@@ -105,9 +98,7 @@ def poisson_kernel_eval(svd: PoissonSvd, m: int | None, x, z) -> float:
     """
     basis = svd.basis
     m = basis.truncation_rank(m)
-    mesh = basis.mesh
-    _require_boundary_margin(mesh, x)
-    hx = interpolate_values(mesh, basis.h_matrix[:, :m], x)[0]
+    hx = basis.harmonic_values(x, m)
     wz = basis.w_matrix[_boundary_node_index(svd, z), :m]
     return float(np.sum(hx * wz / np.sqrt(svd.boundary_length * basis.q[:m])))
 
@@ -120,20 +111,17 @@ def kernel_slice(svd: PoissonSvd, x, m: int | None = None):
     """
     basis = svd.basis
     m = basis.truncation_rank(m)
-    mesh = basis.mesh
-    _require_boundary_margin(mesh, x)
-    hx = interpolate_values(mesh, basis.h_matrix[:, :m], x)[0]
-    weights = hx / np.sqrt(svd.boundary_length * basis.q[:m])
+    weights = basis.harmonic_values(x, m) / np.sqrt(svd.boundary_length * basis.q[:m])
     values = basis.w_matrix[:, :m] @ weights
 
+    mesh = basis.mesh
     arclength = np.empty(mesh.boundary_nodes.size)
     pos = 0
-    edge_pos = 0
+    # Boundary edges follow the nodes: a loop's edges sit where its nodes do.
     for loop in mesh.boundary_loops:
-        lengths = mesh.edge_weights[edge_pos : edge_pos + len(loop)]
+        lengths = mesh.edge_weights[pos : pos + len(loop)]
         arclength[pos : pos + len(loop)] = np.concatenate([[0.0], np.cumsum(lengths[:-1])])
         pos += len(loop)
-        edge_pos += len(loop)
     return arclength, values
 
 

@@ -44,11 +44,12 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .errors import CapacityError, IterationLimitError, TruncationWarning
+from .errors import CapacityError, IterationLimitError, OutsideDomainError, TruncationWarning
 from .fem import (
     BoundaryField,
     InteriorField,
     dtn_apply,
+    interpolate_values,
     operators,
     t_apply,
     trace,
@@ -73,6 +74,7 @@ __all__ = [
 
 _CLUSTER_GAP = 1e-6
 _EIG_TOL = 1e-10
+_TRACE_TAIL_TOL = 1e-6
 
 _log = logging.getLogger("steklovsvd")
 
@@ -212,6 +214,25 @@ class SpectralBasis:
         """Coefficients ``<g, w_j>`` in the normalized boundary inner product."""
         weighted = self.mesh.boundary_weights * g.values
         return (self.w_matrix.T @ weighted) / self.boundary_length
+
+    def harmonic_values(self, points, m: int | None = None, margin: float | None = None):
+        """Rows ``h_j(x)``, ``j < m``, interpolated at ``points`` (..., 2): shape (..., m).
+
+        The series degrades near the boundary, so every point must keep
+        ``margin`` (default: the longest mesh edge) from it, or an
+        :class:`OutsideDomainError` names the first point that does not.
+        """
+        m = self.truncation_rank(m)
+        margin = self.mesh.max_edge_length if margin is None else float(margin)
+        points = np.asarray(points, dtype=float)
+        flat = points.reshape(-1, 2)
+        # A point with a NaN coordinate fails the check too.
+        close = np.flatnonzero(~(self.mesh.distance_to_boundary(flat) >= margin))
+        if close.size:
+            point = tuple(flat[close[0]].tolist())
+            raise OutsideDomainError(f"point {point} is within the boundary margin {margin}")
+        rows = interpolate_values(self.mesh, self.h_matrix[:, :m], flat)
+        return rows.reshape(points.shape[:-1] + (m,))
 
 
 @dataclass(eq=False)
@@ -524,7 +545,6 @@ def trace_sobolev_norm(
     g: BoundaryField,
     s: float,
     steklov: list[HarmonicSteklovPair],
-    tail_tol: float = 1e-6,
 ) -> float:
     """Spectrally defined trace-space norm of boundary data.
 
@@ -532,7 +552,7 @@ def trace_sobolev_norm(
     supplied Dirichlet-to-Neumann eigenpairs.  ``s = 0`` reproduces the
     normalized boundary norm by Parseval; negative ``s`` yields the dual
     pairing weights.  When the captured coefficients miss more than
-    ``tail_tol`` of the squared norm of ``g``, a :class:`TruncationWarning`
+    ``1e-6`` of the squared norm of ``g``, a :class:`TruncationWarning`
     is attached to the result.
     """
     if abs(s) > 1:
@@ -541,7 +561,7 @@ def trace_sobolev_norm(
     delta = np.array([p.delta for p in steklov])
     total = g.inner_normalized(g)
     tail = total - float(ghat @ ghat)
-    if tail > tail_tol * max(total, 1e-300):
+    if tail > _TRACE_TAIL_TOL * max(total, 1e-300):
         warnings.warn(
             f"coefficient tail {tail:.3e} above tolerance; extend the eigenbasis",
             TruncationWarning,

@@ -39,6 +39,10 @@ __all__ = ["CheckResult", "run_suites", "SUITE_NAMES"]
 
 SUITE_NAMES = ("mesh", "solver", "spectra", "bergman", "poisson")
 
+_SEED = 0
+# Least modes of the basis suites (spectra, bergman, poisson): poisson needs one past a truncation.
+_MIN_BASIS_MODES = 2
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -74,17 +78,7 @@ def _mesh_suite(mesh: Mesh) -> list[CheckResult]:
             1e-10 * max(length, 1.0),
         )
     )
-    mid = 0.5 * (
-        mesh.vertices[mesh.boundary_edges[:, 0]] + mesh.vertices[mesh.boundary_edges[:, 1]]
-    )
-    centroid = mesh.vertices[mesh.triangles[mesh._edge_owner_triangle]].mean(axis=1)
-    out.append(
-        _geq(
-            "mesh.normals_outward",
-            float(np.min(np.einsum("ij,ij->i", mesh.normals, mid - centroid))),
-            1e-300,
-        )
-    )
+    out.append(_geq("mesh.normals_outward", float(np.min(mesh.outward_clearance())), 1e-300))
     fine = refine(mesh)
     out.append(
         _leq(
@@ -297,7 +291,6 @@ def _bergman_suite(
     out.append(_leq("bergman.pythagoras", pyth, 1e-10))
     out.append(_leq("bergman.contraction", pf.norm_l2() / fnorm, 1.0 + 1e-12))
 
-    margin = mesh.max_edge_length
     area, _ = boundary_polygon_measures(mesh)
     centroid = mesh.vertices.mean(axis=0)
     radius = 0.4 * math.sqrt(area / math.pi)
@@ -305,8 +298,7 @@ def _bergman_suite(
         centroid + radius * np.array([math.cos(t), math.sin(t)])
         for t in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
     ]
-    kernel = bg.TruncatedKernel(basis, margin=margin)
-    eigs = np.linalg.eigvalsh(kernel.gram(pts))
+    eigs = np.linalg.eigvalsh(bg.TruncatedKernel(basis).gram(pts))
     out.append(_geq("bergman.kernel_gram_psd", float(eigs.min()), -1e-8))
 
     pairs = dirichlet_laplacian_eigensolve(mesh, 5)
@@ -356,22 +348,23 @@ def _poisson_suite(
     return out
 
 
-def run_suites(
-    mesh: Mesh, suites=("all",), n_modes: int = 40, seed: int = 0
-) -> list[CheckResult]:
+def run_suites(mesh: Mesh, suites=("all",), n_modes: int = 40) -> list[CheckResult]:
     """Run the named invariant suites on ``mesh`` and return all results."""
     chosen = set(SUITE_NAMES) if "all" in suites else set(suites)
     unknown = chosen - set(SUITE_NAMES)
     if unknown:
         raise ValueError(f"unknown suite(s): {sorted(unknown)}")
-    rng = np.random.default_rng(seed)
+    basis_suites = chosen & {"spectra", "bergman", "poisson"}
+    if basis_suites and n_modes < _MIN_BASIS_MODES:
+        raise ValueError(f"the basis suites need at least {_MIN_BASIS_MODES} modes, got {n_modes}")
+    rng = np.random.default_rng(_SEED)
     results = []
     if "mesh" in chosen:
         results.extend(_mesh_suite(mesh))
     if "solver" in chosen:
         results.extend(_solver_suite(mesh, rng))
     basis = None
-    if chosen & {"spectra", "bergman", "poisson"}:
+    if basis_suites:
         n_modes = min(n_modes, mesh.boundary_nodes.size - 1)
         basis = dbs_eigensolve(mesh, n_modes)
     if "spectra" in chosen:

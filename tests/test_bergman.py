@@ -13,7 +13,7 @@ from steklovsvd.bergman import (
     neumann_biharmonic_extension,
     reproducing_kernel_eval,
 )
-from steklovsvd.errors import OutsideDomainError, TruncationWarning
+from steklovsvd.errors import CapacityError, OutsideDomainError, TruncationWarning
 from steklovsvd.fem import BoundaryField, InteriorField, operators
 from steklovsvd.spectra import dbs_eigensolve
 
@@ -100,13 +100,12 @@ class TestReproducingKernel:
 
     def test_gram_equals_stacked_point_values(self, disk_mid_basis):
         # One batched interpolation gives exactly the per-point rows, repeated
-        # and already cached points included.
+        # points included.
         rng = np.random.default_rng(10)
         pts = rng.uniform(-0.6, 0.6, size=(40, 2))
         pts = np.concatenate([pts, pts[:5], disk_mid_basis.mesh.vertices[:3]])
         kernel = TruncatedKernel(disk_mid_basis, 25)
-        rows = np.stack([TruncatedKernel(disk_mid_basis, 25)._mode_values(p) for p in pts])
-        kernel._mode_values(pts[7])
+        rows = np.stack([disk_mid_basis.harmonic_values(p, 25) for p in pts])
         assert np.array_equal(kernel.gram(pts), rows @ rows.T)
         assert kernel.eval(pts[1], pts[2]) == float(rows[1] @ rows[2])
 
@@ -126,8 +125,8 @@ class TestReproducingKernel:
         x0 = (0.3, 0.0)
         errors = []
         for m in (1, 3, 40):
-            kernel = TruncatedKernel(disk_mid_basis, m)
-            integral = float(kernel._mode_values(x0) @ (disk_mid_basis.h_matrix[:, :m].T @ (ops.mass @ k.values)))
+            hx = disk_mid_basis.harmonic_values(x0, m)
+            integral = float(hx @ (disk_mid_basis.h_matrix[:, :m].T @ (ops.mass @ k.values)))
             errors.append(abs(integral - 0.3))
         assert errors[-1] <= 0.02  # within 2% of sup-norm 1
         # truncation error is monotone; below the discretization floor the
@@ -243,3 +242,7 @@ class TestHarmonicTrace:
             expected = math.sqrt(disk_mid_basis.q[j] / mesh.boundary_length)
             assert norms[-1] == pytest.approx(expected, rel=1e-6)
         assert norms[0] < norms[1] < norms[2]
+
+    def test_too_many_coefficients_is_a_capacity_error(self, disk_mid_basis):
+        with pytest.raises(CapacityError, match="^more coefficients than basis modes$"):
+            harmonic_trace(np.ones(disk_mid_basis.rank + 1), disk_mid_basis)

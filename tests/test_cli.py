@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -307,6 +308,78 @@ class TestConfigAndFlagErrors:
         err = assert_one_input_error(code, capsys, recwarn, out)
         assert "names no suite" in err
         assert capsys.readouterr().out == ""
+
+
+class TestNonFiniteInputs:
+    # case -> (argv, contents of {data} or None, text of the error line)
+    CASES = {
+        "dbs_radius_nan": (
+            ["dbs", "--radius", "nan"], None, "radius must be positive and finite, got nan"
+        ),
+        "dbs_radius_inf": (
+            ["dbs", "--radius", "inf"], None, "radius must be positive and finite, got inf"
+        ),
+        "dbs_h_inf": (["dbs", "--h", "inf"], None, "target_h must be positive and finite, got inf"),
+        "polygon_vertex_nan": (
+            ["dbs", "--domain", "polygon", "--h", "0.3", "--vertices-file", "{data}"],
+            "0 0\n1 0\nnan 1\n0 1\n",
+            "vertices file {data} contains a non-finite value",
+        ),
+        "project_f_const_nan": (
+            ["project", "--basis", "{basis}", "--f-const", "nan"], None,
+            "--f-const must be finite, got nan",
+        ),
+        "extend_g_const_inf": (
+            ["extend", "--basis", "{basis}", "--g-const", "inf"], None,
+            "--g-const must be finite, got inf",
+        ),
+        "extend_g_const_nan_in_config": (
+            ["extend", "--basis", "{basis}", "--config", "{data}"], '{"g_const": NaN}',
+            "--g-const must be finite, got nan",
+        ),
+        "extend_g_file_inf": (
+            ["extend", "--basis", "{basis}", "--g-file", "{data}"], "1\ninf\n2\n",
+            "boundary data file {data} contains a non-finite value",
+        ),
+        "kernel_x_nan": (
+            ["kernel", "--basis", "{basis}", "--x", "nan,0"], None,
+            "expected a point 'x,y' with finite coordinates, got 'nan,0'",
+        ),
+        "verify_one_mode": (
+            ["verify", "--h", "0.3", "--modes", "1"], None,
+            "the basis suites need at least 2 modes, got 1",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_error_line_and_exit_one(self, tmp_path, basis_file, capsys, recwarn, case):
+        argv, contents, message = self.CASES[case]
+        data = tmp_path / "data.txt"
+        if contents is not None:
+            data.write_text(contents)
+        argv = [a.format(basis=basis_file, data=data) for a in argv]
+        out = tmp_path / "out"
+        err = assert_one_input_error(run(argv + ["--out", out]), capsys, recwarn, out)
+        assert err == f"error: {message.format(data=data)}\n"
+        assert capsys.readouterr().out == ""
+
+
+class TestFailedWrites:
+    def test_failed_mesh_out_leaves_no_basis_file(self, tmp_path, capsys, recwarn):
+        out = tmp_path / "b.json"
+        bad = tmp_path / "absent" / "m.txt"
+        code = run(["dbs", "--h", "0.3", "--modes", "3", "--out", out, "--mesh-out", bad])
+        err = assert_one_input_error(code, capsys, recwarn, out)
+        assert err == f"error: cannot write {bad}: No such file or directory\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_mesh_out_keeps_the_old_basis_file(self, tmp_path):
+        out = tmp_path / "b.json"
+        out.write_text("old\n")
+        bad = tmp_path / "absent" / "m.txt"
+        assert run(["dbs", "--h", "0.3", "--modes", "3", "--out", out, "--mesh-out", bad]) == 1
+        assert out.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["b.json"]
 
 
 class TestInputFileErrors:

@@ -77,6 +77,26 @@ class TestDiskMesh:
         with pytest.raises(ValueError):
             build_disk_mesh(**kwargs)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: disk_mesh(math.nan, 0.1), "radius must be positive and finite, got nan"),
+            (lambda: disk_mesh(math.inf, 0.1), "radius must be positive and finite, got inf"),
+            (lambda: disk_mesh(1.0, math.inf), "target_h must be positive and finite, got inf"),
+            (lambda: disk_mesh(1.0, math.nan), "target_h must be positive and finite, got nan"),
+            (lambda: build_disk_mesh(math.inf, 4, 12), "radius must be positive and finite"),
+            (
+                lambda: build_polygon_mesh([(0, 0), (1, 0), (math.nan, 1), (0, 1)], 0.2),
+                "polygon corners must be finite",
+            ),
+            (lambda: build_polygon_mesh(UNIT_SQUARE, math.inf), "target_h must be positive and finite"),
+        ],
+        ids=["radius_nan", "radius_inf", "h_inf", "h_nan", "build_radius_inf", "corner_nan", "polygon_h_inf"],
+    )
+    def test_non_finite_parameters_are_named(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            call()
+
     def test_first_boundary_node_at_angle_zero(self):
         mesh = disk_mesh(1.0, 0.1)
         assert mesh.vertices[mesh.boundary_nodes[0]] == pytest.approx([1.0, 0.0])
@@ -191,6 +211,30 @@ class TestPointQueries:
         mesh = build_polygon_mesh(UNIT_SQUARE, 0.2)
         assert mesh.distance_to_boundary((0.5, 0.5)) == pytest.approx(0.5)
         assert mesh.distance_to_boundary((0.1, 0.4)) == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("name", ["disk", "square"])
+    def test_distance_to_boundary_of_many_points_is_per_point(self, name):
+        # One batched call over points of any leading shape gives exactly the
+        # per-point distances of the former (..., s, 2) formula, inside and
+        # outside the domain.
+        mesh = disk_mesh(1.0, 0.1) if name == "disk" else build_polygon_mesh(UNIT_SQUARE, 0.2)
+        a = mesh.vertices[mesh.boundary_edges[:, 0]]
+        b = mesh.vertices[mesh.boundary_edges[:, 1]]
+        points = np.random.default_rng(4).uniform(-1.5, 1.5, size=(3, 20, 2))
+        assert np.array_equal(_segment_distances(points, a, b), ref_segment_distances(points, a, b))
+        expected = np.array(
+            [[float(np.min(ref_segment_distances(p, a, b))) for p in row] for row in points]
+        )
+        assert np.array_equal(mesh.distance_to_boundary(points), expected)
+        assert np.array_equal(mesh.distance_to_boundary(points[1]), expected[1])
+        assert mesh.distance_to_boundary(points[1, 4]) == expected[1, 4]
+
+    def test_max_edge_length_is_computed_once(self):
+        mesh = build_polygon_mesh(UNIT_SQUARE, 0.2)
+        p = mesh.vertices[mesh.triangles]
+        longest = max(np.max(np.hypot(*(p[:, i] - p[:, j]).T)) for i, j in ((0, 1), (1, 2), (2, 0)))
+        assert mesh.max_edge_length == longest
+        assert "max_edge_length" in vars(mesh)
 
 
 class TestTextFormat:
@@ -551,6 +595,16 @@ def ref_extract_boundary(vertices, triangles):
     return self
 
 
+def ref_segment_distances(points, a, b) -> np.ndarray:
+    points = np.asarray(points)[..., None, :]
+    ab = b - a
+    rel = points - a
+    dots = rel[..., 0] * ab[:, 0] + rel[..., 1] * ab[:, 1]
+    t = np.clip(dots / (ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]), 0.0, 1.0)
+    gap = points - (a + t[..., None] * ab)
+    return np.hypot(gap[..., 0], gap[..., 1])
+
+
 def ref_build_polygon_mesh(vertices, target_h: float) -> Mesh:
     corners = np.asarray(vertices, dtype=float)
     if corners.ndim != 2 or corners.shape[1] != 2 or corners.shape[0] < 3:
@@ -590,7 +644,7 @@ def ref_build_polygon_mesh(vertices, target_h: float) -> Mesh:
         row = np.column_stack([x0 + np.arange(cols) * target_h, np.full(cols, ymin + r * dy)])
         rel = row[:, None, :] - corners
         inside = np.all(edges[:, 0] * rel[:, :, 1] - edges[:, 1] * rel[:, :, 0] > 0, axis=1)
-        clear = np.min(_segment_distances(row, seg_a, seg_b), axis=1) >= 0.4 * target_h
+        clear = np.min(ref_segment_distances(row, seg_a, seg_b), axis=1) >= 0.4 * target_h
         interior.append(row[inside & clear])
     interior = np.concatenate(interior)
     order = np.lexsort((interior[:, 0], interior[:, 1]))

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steklovsvd import disk_mesh, transform
+from steklovsvd import build_polygon_mesh, disk_mesh, transform
 from steklovsvd.analytic_disk import disk_poisson_kernel_exact
-from steklovsvd.bergman import bergman_project
+from steklovsvd.bergman import TruncatedKernel, bergman_project
 from steklovsvd.errors import CapacityError, OutsideDomainError
 from steklovsvd.fem import BoundaryField, InteriorField, harmonic_extension, operators
 from steklovsvd.poisson import (
@@ -19,6 +21,7 @@ from steklovsvd.poisson import (
     truncation_error_report,
 )
 from steklovsvd.spectra import dbs_eigensolve
+from test_meshing import convex_polygons
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +146,26 @@ class TestKernelEvaluation:
         with pytest.raises(OutsideDomainError, match=r"^\(0\.7, 0\.7\) is not a boundary node"):
             poisson_kernel_eval(disk_svd, 5, (0.2, 0.0), (0.7, 0.7))
 
+    def test_margin_errors_share_one_text(self, disk_svd):
+        # One check serves both kernels: each names the first point inside
+        # the margin, and the margin.
+        basis = disk_svd.basis
+        points = [(0.1, 0.2), (0.0, -0.9995), (0.999, 0.0)]
+        expected = f"point (0.0, -0.9995) is within the boundary margin {basis.mesh.max_edge_length}"
+        z = basis.mesh.vertices[basis.mesh.boundary_nodes[0]]
+        calls = {
+            "gram": lambda: TruncatedKernel(basis).gram(points),
+            "eval": lambda: TruncatedKernel(basis).eval(points[1], points[2]),
+            "values_on_vertices": lambda: TruncatedKernel(basis).values_on_vertices(points[1]),
+            "poisson_kernel_eval": lambda: poisson_kernel_eval(disk_svd, None, points[1], z),
+            "kernel_slice": lambda: kernel_slice(disk_svd, points[1]),
+            "harmonic_values": lambda: basis.harmonic_values(np.array([points] * 2)),
+        }
+        for name, call in calls.items():
+            with pytest.raises(OutsideDomainError) as info:
+                call()
+            assert str(info.value) == expected, name
+
     def test_slice_and_csv(self, disk_svd):
         arc, values = kernel_slice(disk_svd, (0.0, 0.0), 10)
         assert arc.shape == values.shape
@@ -192,6 +215,19 @@ class TestTruncationReport:
             bergman_project(InteriorField.constant(mesh, 1.0), basis, m)
         with pytest.raises(CapacityError, match="truncation rank must lie in"):
             extend_harmonic_svd(BoundaryField.constant(mesh, 1.0), disk_svd, m)
+
+    @settings(max_examples=20)
+    @given(convex_polygons(), st.integers(1, 6), st.integers(0, 2**16))
+    def test_truncation_bound_on_convex_polygons(self, corners, m, seed):
+        # ||E g - E_m g|| <= sqrt(|bdy| / q_{m+1}) ||g - g_m||, with equality
+        # for data on the first mode beyond the truncation.
+        basis = dbs_eigensolve(build_polygon_mesh(corners, 0.35), 8)
+        svd = PoissonSvd.from_basis(basis)
+        rng = np.random.default_rng(seed)
+        g = BoundaryField(basis.mesh, rng.standard_normal(basis.mesh.boundary_nodes.size))
+        assert 0 <= truncation_error_report(g, svd, m).ratio <= 1 + 1e-6
+        tail = BoundaryField(basis.mesh, basis.w_matrix[:, m].copy())
+        assert truncation_error_report(tail, svd, m).ratio == pytest.approx(1.0, abs=1e-6)
 
     def test_capacity_error(self, disk_svd):
         mesh = disk_svd.basis.mesh

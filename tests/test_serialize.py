@@ -9,6 +9,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steklovsvd._serialize import dumps_canonical, fmt_float, format_floats
+from steklovsvd._serialize import atomic_write_text, dumps_canonical, fmt_float, format_floats
 from steklovsvd.bergman import TruncatedKernel, kernel_grid_csv
 from steklovsvd.meshing import Mesh, disk_mesh, mesh_hash, write_mesh_text
 from steklovsvd.poisson import PoissonSvd, kernel_slice, kernel_slice_csv
@@ -276,3 +278,33 @@ def test_kernel_csvs_match_reference(small_basis):
     assert kernel_grid_csv(small_basis, x, 8) == ref_kernel_grid_csv(
         small_basis.mesh.vertices, values
     )
+
+
+# -- atomic writes -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_written_files_take_the_umask_mode(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(str(tmp_path / "a.txt"), "a\n")
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("a\n")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(os.stat(tmp_path / "a.txt").st_mode)
+    assert mode == 0o666 & ~umask
+    assert mode == stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode)
+
+
+def test_files_written_together_appear_together_or_not_at_all(tmp_path):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    atomic_write_text(str(first), "one\n", (str(second), "two\n"))
+    assert (first.read_text(), second.read_text()) == ("one\n", "two\n")
+    bad = tmp_path / "absent" / "third.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        atomic_write_text(str(first), "new\n", (str(bad), "three\n"))
+    assert info.value.filename == str(bad)
+    # The failed call changed nothing and left no temporary file.
+    assert first.read_text() == "one\n"
+    assert sorted(os.listdir(tmp_path)) == ["first.txt", "second.txt"]

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steklovsvd import disk_mesh, refine, spectra, transform
+from steklovsvd import build_polygon_mesh, disk_mesh, refine, spectra, transform
 from steklovsvd.analytic_disk import bessel_j_zero
 from steklovsvd.errors import CapacityError, TruncationWarning
 from steklovsvd.fem import (
@@ -27,6 +29,7 @@ from steklovsvd.spectra import (
     normal_derivative_series,
     trace_sobolev_norm,
 )
+from test_meshing import convex_polygons
 
 
 def dense_t_matrix(mesh):
@@ -118,6 +121,23 @@ class TestDbsEigensolve:
         base = dbs_eigensolve(disk_coarse, 5).q
         scaled = dbs_eigensolve(transform(disk_coarse, scale=2.0), 5).q
         assert np.max(np.abs(2.0 * scaled - base) / base) < 1e-10
+
+    @settings(max_examples=20)
+    @given(
+        convex_polygons(),
+        st.floats(-math.pi, math.pi),
+        st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        st.floats(0.25, 4.0),
+    )
+    def test_rigid_motion_and_scaling_on_convex_polygons(self, corners, rotation, offset, scale):
+        # The triangles keep their shape, so q moves only by rounding: not at
+        # all under a rigid motion, and by the factor 1 / scale under scaling.
+        mesh = build_polygon_mesh(corners, 0.35)
+        base = dbs_eigensolve(mesh, 5).q
+        moved = dbs_eigensolve(transform(mesh, rotation=rotation, offset=offset), 5).q
+        scaled = dbs_eigensolve(transform(mesh, scale=scale), 5).q
+        assert np.max(np.abs(moved - base) / base) < 1e-10
+        assert np.max(np.abs(scale * scaled - base) / base) < 1e-10
 
     def test_refinement_one_sided_convergence(self, square_coarse, disk_coarse):
         # Empirically the discrete eigenvalues converge monotonically, but
