@@ -321,7 +321,7 @@ def interpolate_values(mesh: Mesh, values: np.ndarray, points) -> np.ndarray:
     stacked fields; the result has one row per point.
     """
     values = np.asarray(values, dtype=float)
-    tri, lam = mesh.locate_many(points)
+    tri, lam = mesh.locate(np.reshape(points, (-1, 2)))
     corner_values = values.reshape(values.shape[0], -1)[mesh.triangles[tri]]
     return (lam[:, None, :] @ corner_values)[:, 0].reshape(tri.shape + values.shape[1:])
 

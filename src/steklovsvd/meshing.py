@@ -332,10 +332,10 @@ class Mesh:
         tri[placed] = candidates[hits[first]]
         lam[placed] = bary[hits[first]]
 
-    def locate_many(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Containing triangle and barycentric coordinates of each point.
+    def locate(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Containing triangle and barycentric coordinates of ``points`` (..., 2).
 
-        Returns ``(tri, lam)`` with shapes ``(p,)`` and ``(p, 3)``.  Each
+        Returns ``(tri, lam)`` with shapes ``(...)`` and ``(..., 3)``.  Each
         point takes the first triangle, around its 8 nearest vertices
         (nearest first, triangles in index order), whose barycentric
         coordinates are all at least ``-1e-10``; a point with none there
@@ -343,6 +343,7 @@ class Mesh:
         :class:`OutsideDomainError` for the first point outside the
         triangulated polygon.
         """
+        shape = np.shape(points)[:-1]
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         tree, offsets, triangles_of = self._locator
         k = min(8, self.vertices.shape[0])
@@ -367,19 +368,21 @@ class Mesh:
             if tri[i] < 0:
                 point = tuple(points[i].tolist())
                 raise OutsideDomainError(f"point {point} lies outside the mesh")
-        return tri, lam
-
-    def locate(self, point) -> tuple[int, np.ndarray]:
-        """``(triangle_index, barycentric_coords)`` of ``point``: one row of :meth:`locate_many`."""
-        tri, lam = self.locate_many(np.asarray(point, dtype=float)[None])
-        return int(tri[0]), lam[0]
+        return tri.reshape(shape), lam.reshape(shape + (3,))
 
     def distance_to_boundary(self, points):
-        """Euclidean distances from ``points`` (..., 2) to the polygonal boundary, shape (...)."""
-        points = np.asarray(points, dtype=float)
+        """Euclidean distances from ``points`` (..., 2) to the polygonal boundary, shape (...).
+
+        In blocks of ``_DISTANCE_BLOCK`` point-edge pairs, so memory stays bounded.
+        """
+        flat = np.asarray(points, dtype=float).reshape(-1, 2)
         a = self.vertices[self.boundary_edges[:, 0]]
         b = self.vertices[self.boundary_edges[:, 1]]
-        return np.min(_segment_distances(points, a, b), axis=-1)
+        step = max(1, _DISTANCE_BLOCK // a.shape[0])
+        out = np.empty(flat.shape[0])
+        for i in range(0, flat.shape[0], step):
+            out[i : i + step] = np.min(_segment_distances(flat[i : i + step], a, b), axis=-1)
+        return out.reshape(np.shape(points)[:-1])[()]
 
 
 # -- generators -----------------------------------------------------------------
@@ -448,6 +451,9 @@ def disk_mesh(radius: float, target_h: float) -> Mesh:
     n_angular = max(12, int(round(2.0 * math.pi * radius / target_h)))
     n_radial = max(2, int(round(radius / target_h)))
     return build_disk_mesh(radius, n_radial, n_angular)
+
+
+_DISTANCE_BLOCK = 2**16  # point-edge pairs per block of Mesh.distance_to_boundary
 
 
 def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -79,8 +79,19 @@ _TRACE_TAIL_TOL = 1e-6
 _log = logging.getLogger("steklovsvd")
 
 
-def _start_vector(n: int) -> np.ndarray:
-    return np.random.default_rng(20160419).standard_normal(n)
+def _eigsh(op, n_modes: int, what: str, **kwargs):
+    """``n_modes`` eigenpairs of ``op`` by the package's one ARPACK call, ascending.
+
+    Seeded start vector, tolerance ``_EIG_TOL``; an unconverged run raises
+    :class:`IterationLimitError` naming ``what``.  ``kwargs`` go to ``eigsh``.
+    """
+    v0 = np.random.default_rng(20160419).standard_normal(op.shape[0])
+    try:
+        vals, vecs = spla.eigsh(op, k=n_modes, tol=_EIG_TOL, v0=v0, **kwargs)
+    except spla.ArpackNoConvergence as exc:
+        raise IterationLimitError(f"{what} did not converge; partial results refused") from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def _canonicalize_clusters(values: np.ndarray, columns: list[np.ndarray], reference: np.ndarray):
@@ -91,33 +102,27 @@ def _canonicalize_clusters(values: np.ndarray, columns: list[np.ndarray], refere
     all linear images of the same eigenvectors); ``reference`` supplies the
     rows (fixed node ordering) used to pick the rotation.
     """
-    n = values.size
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(values[stop] - values[stop - 1]) <= _CLUSTER_GAP * max(
-            abs(values[stop]), 1e-300
-        ):
-            stop += 1
+    joined = np.abs(np.diff(values)) <= _CLUSTER_GAP * np.maximum(np.abs(values[1:]), 1e-300)
+    # Each run of joined gaps [start, stop - 1) is the cluster [start, stop).
+    runs = np.flatnonzero(np.diff(np.concatenate(([0], joined, [0])))).reshape(-1, 2)
+    for start, stop in (runs + [0, 1]).tolist():
         d = stop - start
-        if d > 1:
-            block = reference[:, start:stop]
-            scale = float(np.max(np.abs(block))) or 1.0
-            basis: list[np.ndarray] = []
-            for row in block:
-                v = row.copy()
-                for u in basis:
-                    v -= (u @ v) * u
-                norm = np.linalg.norm(v)
-                if norm > 1e-8 * scale:
-                    basis.append(v / norm)
-                if len(basis) == d:
-                    break
+        block = reference[:, start:stop]
+        scale = float(np.max(np.abs(block))) or 1.0
+        basis: list[np.ndarray] = []
+        for row in block:
+            v = row.copy()
+            for u in basis:
+                v -= (u @ v) * u
+            norm = np.linalg.norm(v)
+            if norm > 1e-8 * scale:
+                basis.append(v / norm)
             if len(basis) == d:
-                rot = np.column_stack(basis)
-                for mat in columns:
-                    mat[:, start:stop] = mat[:, start:stop] @ rot
-        start = stop
+                break
+        if len(basis) == d:
+            rot = np.column_stack(basis)
+            for mat in columns:
+                mat[:, start:stop] = mat[:, start:stop] @ rot
 
 
 def _fix_signs(columns: list[np.ndarray], reference: np.ndarray):
@@ -125,16 +130,13 @@ def _fix_signs(columns: list[np.ndarray], reference: np.ndarray):
 
     The significance cutoff sits well above discretization noise so the
     convention does not hinge on the sign of a nearly-zero coefficient.
+    The flips are found first, as ``reference`` is often one of ``columns``.
     """
-    for j in range(reference.shape[1]):
-        col = reference[:, j]
-        scale = float(np.max(np.abs(col)))
-        if scale == 0.0:
-            continue
-        idx = np.flatnonzero(np.abs(col) > 1e-3 * scale)[0]
-        if col[idx] < 0:
-            for mat in columns:
-                mat[:, j] = -mat[:, j]
+    mag = np.abs(reference)
+    first = np.argmax(mag > 1e-3 * mag.max(axis=0), axis=0)
+    flip = reference[first, np.arange(reference.shape[1])] < 0
+    for mat in columns:
+        mat[:, flip] = -mat[:, flip]
 
 
 @dataclass(eq=False)
@@ -340,28 +342,21 @@ def _boundary_spectrum(mesh, n_modes: int, method: str, problem: str, apply):
         )  # fmt: skip
         method = choice.method
     sw = np.sqrt(ops.boundary_weights)
-    step = -1 if which == "LA" else 1
     if method == "dense":
         f = ops.boundary_form(form)
         # The Gram form is exactly symmetric already, so this is a no-op for it.
         vals, vecs = sla.eigh(0.5 * (f + f.T) / sw[:, None] / sw[None, :])
-        order = slice(None, None, step)
     elif method == "lanczos":
 
         def matvec(y):
             return sw * apply(mesh, BoundaryField(mesh, y / sw)).values
 
         op = spla.LinearOperator((nb, nb), matvec=matvec, dtype=float)
-        try:
-            vals, vecs = spla.eigsh(op, k=n_modes, which=which, tol=_EIG_TOL, v0=_start_vector(nb))
-        except spla.ArpackNoConvergence as exc:
-            raise IterationLimitError(
-                "Lanczos iteration did not converge; partial results refused"
-            ) from exc
-        order = np.argsort(vals)[::step]
+        vals, vecs = _eigsh(op, n_modes, "Lanczos iteration", which=which)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return vals[order][:n_modes], (vecs / sw[:, None])[:, order][:, :n_modes]
+    pick = slice(None, None, -1) if which == "LA" else slice(None)
+    return vals[pick][:n_modes], (vecs / sw[:, None])[:, pick][:, :n_modes]
 
 
 def dbs_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") -> SpectralBasis:
@@ -445,7 +440,12 @@ def harmonic_steklov_eigensolve(
 
 
 def dirichlet_laplacian_eigensolve(mesh: Mesh, n_modes: int) -> list[DirichletEigenpair]:
-    """Smallest ``n_modes`` Dirichlet Laplacian eigenpairs, L2-orthonormal."""
+    """Smallest ``n_modes`` Dirichlet Laplacian eigenpairs, L2-orthonormal.
+
+    Dense ``eigh`` with at most 600 interior nodes or ``n_modes > interior
+    nodes - 2``, else shift-invert ARPACK about zero with the mesh's cached
+    interior LU; the cost model of ``method="auto"`` does not apply.
+    """
     ops = operators(mesh)
     ni = ops.interior_idx.size
     _check_modes(n_modes, ni, "interior-node")
@@ -458,23 +458,10 @@ def dirichlet_laplacian_eigensolve(mesh: Mesh, n_modes: int) -> list[DirichletEi
     else:
         # Shift-invert about zero: the inverse is the mesh's cached LU.
         a_inv = spla.LinearOperator((ni, ni), matvec=ops.interior_lu.solve, dtype=float)
-        try:
-            vals, vecs = spla.eigsh(
-                a_ii,
-                k=n_modes,
-                M=m_ii.tocsc(),
-                sigma=0.0,
-                which="LM",
-                OPinv=a_inv,
-                tol=_EIG_TOL,
-                v0=_start_vector(ni),
-            )
-        except spla.ArpackNoConvergence as exc:
-            raise IterationLimitError(
-                "shift-invert Lanczos did not converge; partial results refused"
-            ) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        vals, vecs = _eigsh(
+            a_ii, n_modes, "shift-invert Lanczos",
+            M=m_ii.tocsc(), sigma=0.0, which="LM", OPinv=a_inv,
+        )  # fmt: skip
     if vals[0] <= 0:
         raise IterationLimitError("Dirichlet spectrum came out nonpositive")
 
@@ -588,11 +575,30 @@ def basis_to_json_dict(basis: SpectralBasis, domain: str) -> dict:
 
 
 def basis_from_json_dict(data: dict, mesh: Mesh) -> SpectralBasis:
-    """Rebuild a basis against ``mesh``; the stored mesh hash must match."""
+    """Rebuild a basis against ``mesh``; the stored mesh hash must match.
+
+    ``q`` must hold ``M`` values, ``b`` and ``h`` ``M`` rows of one value
+    per vertex and ``w`` ``M`` rows of one per boundary node, all finite;
+    otherwise a ``ValueError`` names the entry.
+    """
     if data["mesh_hash"] != mesh_hash(mesh):
         raise ValueError("basis was computed on a different mesh (hash mismatch)")
-    q = np.asarray(data["q"], dtype=float)
-    b = np.asarray(data["b"], dtype=float).T
-    h = np.asarray(data["h"], dtype=float).T
-    w = np.asarray(data["w"], dtype=float).T
-    return SpectralBasis(mesh, q, b, h, w)
+    m, n, nb = data["M"], mesh.vertices.shape[0], mesh.boundary_nodes.size
+    if type(m) is not int or m < 1:
+        raise ValueError(f"basis entry 'M' must be a positive integer, got {m!r}")
+    arrays = {}
+    for key, shape, dims in (
+        ("q", (m,), "M,"), ("b", (m, n), "M, vertices"),
+        ("h", (m, n), "M, vertices"), ("w", (m, nb), "M, boundary nodes"),
+    ):  # fmt: skip
+        try:
+            arrays[key] = a = np.asarray(data[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"basis entry '{key}' is not an array of numbers") from exc
+        if a.shape != shape:
+            raise ValueError(
+                f"basis entry '{key}' has shape {a.shape}, expected ({dims}) = {shape}"
+            )
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"basis entry '{key}' holds a non-finite value")
+    return SpectralBasis(mesh, arrays["q"], arrays["b"].T, arrays["h"].T, arrays["w"].T)

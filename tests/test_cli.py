@@ -455,3 +455,62 @@ class TestMeshAndBasisFileErrors:
         out = tmp_path / "s.csv"
         assert run(["kernel", "--basis", basis_file, "--x", "5,5", "--out", out]) == 1
         assert capsys.readouterr().err == "error: point (5.0, 5.0) lies outside the mesh\n"
+
+
+def _edit(key, change):
+    def edit(data):
+        change(data[key])
+        return data
+
+    return edit
+
+
+class TestMalformedBasisFiles:
+    # (edit of a valid 12-mode basis on a 381-vertex disk, kernel --which, error text)
+    CASES = {
+        "b_one_row_short": (
+            _edit("b", list.pop), "poisson",
+            "basis entry 'b' has shape (11, 381), expected (M, vertices) = (12, 381)",
+        ),
+        "q_one_entry_short": (
+            _edit("q", list.pop), "poisson",
+            "basis entry 'q' has shape (11,), expected (M,) = (12,)",
+        ),
+        "nan_in_q0": (
+            _edit("q", lambda q: q.__setitem__(0, math.nan)), "bergman",
+            "basis entry 'q' holds a non-finite value",
+        ),
+        "infinity_in_h": (
+            _edit("h", lambda h: h[3].__setitem__(5, math.inf)), "bergman",
+            "basis entry 'h' holds a non-finite value",
+        ),
+        "w_row_short": (
+            _edit("w", lambda w: w[2].pop()), "poisson",
+            "basis entry 'w' is not an array of numbers",
+        ),
+        "w_rows_too_short": (
+            lambda data: dict(data, w=[row[:-1] for row in data["w"]]), "poisson",
+            "basis entry 'w' has shape (12, 62), expected (M, boundary nodes) = (12, 63)",
+        ),
+        "string_in_b": (
+            _edit("b", lambda b: b[0].__setitem__(0, "x")), "bergman",
+            "basis entry 'b' is not an array of numbers",
+        ),
+        "M_not_an_integer": (
+            lambda data: dict(data, M=12.0), "poisson",
+            "basis entry 'M' must be a positive integer, got 12.0",
+        ),
+        "M_missing": (
+            lambda data: {k: v for k, v in data.items() if k != "M"}, "poisson",
+            "basis file has no 'M' entry",
+        ),
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_error_line_naming_the_entry(self, tmp_path, basis_file, capsys, recwarn, case):
+        edit, which, message = self.CASES[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(basis_file.read_text()))))
+        out = tmp_path / "out.csv"
+        code = run(["kernel", "--basis", bad, "--x", "0,0", "--which", which, "--out", out])
+        assert assert_one_input_error(code, capsys, recwarn, out) == f"error: {message}\n"

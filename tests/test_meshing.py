@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -229,6 +230,23 @@ class TestPointQueries:
         assert np.array_equal(mesh.distance_to_boundary(points[1]), expected[1])
         assert mesh.distance_to_boundary(points[1, 4]) == expected[1, 4]
 
+    def test_distance_to_boundary_memory_is_bounded(self):
+        # 8,000 points against 126 boundary edges: unblocked, each (points,
+        # edges) temporary is 8 MB and the call peaks at 32 MB; in blocks of
+        # _DISTANCE_BLOCK pairs it stays near 2 MB.  The values equal the
+        # per-point ones.
+        mesh = refine(disk_mesh(1.0, 0.1))
+        points = np.random.default_rng(7).uniform(-0.7, 0.7, size=(8000, 2))
+        expected = np.array([mesh.distance_to_boundary(p) for p in points])
+        tracemalloc.start()
+        try:
+            got = mesh.distance_to_boundary(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, expected)
+        assert peak < 4_000_000
+
     def test_max_edge_length_is_computed_once(self):
         mesh = build_polygon_mesh(UNIT_SQUARE, 0.2)
         p = mesh.vertices[mesh.triangles]
@@ -428,11 +446,17 @@ class TestBatchedLocate:
         points = point_corpus(mesh, seed=len(name))
         incidence = ref_incidence(mesh)
         expected = [ref_locate(mesh, p, incidence) for p in points]
-        tri, lam = mesh.locate_many(points)
+        tri, lam = mesh.locate(points)
         assert tri.tolist() == [t for t, _ in expected]
         assert np.array_equal(lam, np.array([l for _, l in expected]))
         t0, l0 = mesh.locate(points[7])
-        assert (t0, l0.tolist()) == (expected[7][0], expected[7][1].tolist())
+        assert (t0.shape, l0.shape) == ((), (3,))
+        assert (int(t0), l0.tolist()) == (expected[7][0], expected[7][1].tolist())
+        # Any leading shape: (..., 2) points give (...) triangles and (..., 3) coordinates.
+        grid_tri, grid_lam = mesh.locate(points[:40].reshape(4, 10, 2))
+        assert (grid_tri.shape, grid_lam.shape) == ((4, 10), (4, 10, 3))
+        assert np.array_equal(grid_tri.ravel(), tri[:40])
+        assert np.array_equal(grid_lam.reshape(-1, 3), lam[:40])
 
     @pytest.mark.parametrize("name", sorted(LOCATE_CASES))
     def test_interpolation_matches_reference(self, name):
@@ -451,7 +475,7 @@ class TestBatchedLocate:
     def test_outside_point_in_a_batch_raises(self, disk_coarse):
         points = [(0.1, 0.2), (0.0, 0.0), (1.5, 0.3), (-0.4, 0.1)]
         with pytest.raises(OutsideDomainError, match="outside the mesh"):
-            disk_coarse.locate_many(points)
+            disk_coarse.locate(points)
         with pytest.raises(OutsideDomainError):
             interpolate_values(disk_coarse, np.ones(disk_coarse.vertices.shape[0]), points)
 
@@ -464,7 +488,7 @@ class TestBatchedLocate:
         triangles = [(0, 2, 1), (0, 1, 3)] + [(0, i, i + 1) for i in range(3, 11)]
         mesh = Mesh(vertices, triangles)
         point = np.array([0.0, -0.1])
-        tri, lam = mesh.locate_many(point[None])
+        tri, lam = mesh.locate(point[None])
         ti, li = ref_locate(mesh, point, ref_incidence(mesh))
         assert (int(tri[0]), lam[0].tolist()) == (ti, li.tolist()) == (0, li.tolist())
 
