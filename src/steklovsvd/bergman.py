@@ -13,8 +13,8 @@ L2-orthonormal set of harmonic functions; truncating at rank ``M`` gives
 
 Kernel point evaluation reads ``h_j`` through
 :meth:`SpectralBasis.harmonic_values`, which interpolates and is only
-accurate away from the boundary; evaluation points must keep a configured
-margin (one element diameter by default) from the boundary.
+accurate away from the boundary; evaluation points must keep a fixed
+margin of one longest mesh edge from the boundary.
 """
 
 from __future__ import annotations
@@ -56,40 +56,32 @@ class TruncatedKernel:
     """Rank-``m`` reproducing kernel of the harmonic Bergman space.
 
     Symmetric and positive semidefinite by construction.  Evaluation
-    points must be at least ``margin`` inside the boundary; ``None`` means
-    the default of :meth:`SpectralBasis.harmonic_values`, one element
-    diameter.
+    points must keep one longest mesh edge from the boundary, as
+    :meth:`SpectralBasis.harmonic_values` checks.
     """
 
-    def __init__(self, basis: SpectralBasis, m: int | None = None, margin: float | None = None):
+    def __init__(self, basis: SpectralBasis, m: int | None = None):
         self.basis = basis
         self.m = basis.truncation_rank(m)
-        self.margin = margin
 
     def eval(self, x, y) -> float:
-        hx, hy = self.basis.harmonic_values([x, y], self.m, self.margin)
+        hx, hy = self.basis.harmonic_values([x, y], self.m)
         return float(hx @ hy)
 
     def gram(self, points) -> np.ndarray:
         """Kernel Gram matrix of a point set (positive semidefinite)."""
-        v = self.basis.harmonic_values(points, self.m, self.margin)
+        v = self.basis.harmonic_values(points, self.m)
         return v @ v.T
 
     def values_on_vertices(self, x) -> np.ndarray:
         """Raw truncated series ``R_M(x, .)`` sampled at every mesh vertex."""
-        hx = self.basis.harmonic_values(x, self.m, self.margin)
+        hx = self.basis.harmonic_values(x, self.m)
         return self.basis.h_matrix[:, : self.m] @ hx
 
 
-def reproducing_kernel_eval(
-    basis: SpectralBasis,
-    x,
-    y,
-    m: int | None = None,
-    margin: float | None = None,
-) -> float:
+def reproducing_kernel_eval(basis: SpectralBasis, x, y, m: int | None = None) -> float:
     """Evaluate the rank-``m`` Bergman reproducing kernel at two interior points."""
-    return TruncatedKernel(basis, m, margin).eval(x, y)
+    return TruncatedKernel(basis, m).eval(x, y)
 
 
 @dataclass(eq=False)

@@ -3,8 +3,8 @@
 Subcommands: ``mesh``, ``dbs``, ``steklov``, ``laplace-eigs``, ``kernel``,
 ``extend``, ``project``, ``verify``.  All outputs are written atomically
 with fixed float formatting (17 significant digits), so identical inputs
-produce byte-identical files.  Exit codes: 0 success, 1 input error,
-2 verification failure.
+produce byte-identical files.  Exit codes: 0 success, 1 input or solver
+error, 2 verification failure.
 
 Configuration comes from flags or a single optional JSON config file
 (``--config``) whose keys match the flag names; flags win.  No
@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from ._serialize import atomic_write_text, dumps_canonical, fmt_float, format_floats
 from .bergman import kernel_grid_csv
-from .errors import OutsideDomainError
+from .errors import IterationLimitError, OutsideDomainError
 from .fem import BoundaryField, InteriorField
 from .meshing import (
     Mesh,
@@ -233,6 +233,11 @@ def _rebuild_from_descriptor(descriptor) -> Mesh | None:
         raise InputError(f"basis file's 'domain' entry {descriptor!r} has no {exc} field") from exc
     except ValueError as exc:
         raise InputError(f"basis file's 'domain' entry {descriptor!r} is invalid: {exc}") from exc
+    if kind != "meshfile":
+        raise InputError(
+            f"basis file's 'domain' entry {descriptor!r} has unknown kind {kind!r}"
+            " (known: disk, polygon, meshfile)"
+        )
     return None
 
 
@@ -429,7 +434,7 @@ def main(argv=None) -> int:
         parser, commands = _build_parser()
         args = parser.parse_args(_with_config(argv, commands))
         return _HANDLERS[args.command](args)
-    except (InputError, ValueError, OutsideDomainError, KeyError) as exc:
+    except (InputError, ValueError, OutsideDomainError, KeyError, IterationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:

@@ -217,15 +217,15 @@ class SpectralBasis:
         weighted = self.mesh.boundary_weights * g.values
         return (self.w_matrix.T @ weighted) / self.boundary_length
 
-    def harmonic_values(self, points, m: int | None = None, margin: float | None = None):
+    def harmonic_values(self, points, m: int | None = None):
         """Rows ``h_j(x)``, ``j < m``, interpolated at ``points`` (..., 2): shape (..., m).
 
-        The series degrades near the boundary, so every point must keep
-        ``margin`` (default: the longest mesh edge) from it, or an
+        The series degrades near the boundary, so every point must keep a
+        margin of one longest mesh edge from it, or an
         :class:`OutsideDomainError` names the first point that does not.
         """
         m = self.truncation_rank(m)
-        margin = self.mesh.max_edge_length if margin is None else float(margin)
+        margin = self.mesh.max_edge_length
         points = np.asarray(points, dtype=float)
         flat = points.reshape(-1, 2)
         # A point with a NaN coordinate fails the check too.
@@ -399,14 +399,13 @@ def dbs_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") -> SpectralBa
     mh /= scale
     g_cols = g_cols / scale
     b_mat = ops.dirichlet_solve(mh)
-    flux = ops.boundary_flux(b_mat, mh)
-    w_mat = np.sqrt(q * mesh.boundary_length)[None, :] * flux
+    w_mat = np.sqrt(q * mesh.boundary_length)[None, :] * ops.boundary_flux(b_mat, mh)
 
     # Rotate the finished orthonormal systems: cluster rotations then leave
     # the Gram identities at rounding level, while the per-mode coupling
     # identities only move at the (sub-1e-6) eigenvalue split of the cluster.
-    _canonicalize_clusters(q, [g_cols, h_mat, b_mat, flux, w_mat], g_cols)
-    _fix_signs([g_cols, h_mat, b_mat, flux, w_mat], h_mat)
+    _canonicalize_clusters(q, [h_mat, b_mat, w_mat], g_cols)
+    _fix_signs([h_mat, b_mat, w_mat], h_mat)
     return SpectralBasis(mesh, q, b_mat, h_mat, w_mat)
 
 
@@ -567,9 +566,9 @@ def basis_to_json_dict(basis: SpectralBasis, domain: str) -> dict:
         "boundary_length": basis.boundary_length,
         "M": int(basis.rank),
         "q": basis.q.tolist(),
-        "b": basis.b_matrix[:, : basis.rank].T.tolist(),
-        "h": basis.h_matrix[:, : basis.rank].T.tolist(),
-        "w": basis.w_matrix[:, : basis.rank].T.tolist(),
+        "b": basis.b_matrix.T.tolist(),
+        "h": basis.h_matrix.T.tolist(),
+        "w": basis.w_matrix.T.tolist(),
         "mesh_hash": mesh_hash(basis.mesh),
     }
 
@@ -577,9 +576,9 @@ def basis_to_json_dict(basis: SpectralBasis, domain: str) -> dict:
 def basis_from_json_dict(data: dict, mesh: Mesh) -> SpectralBasis:
     """Rebuild a basis against ``mesh``; the stored mesh hash must match.
 
-    ``q`` must hold ``M`` values, ``b`` and ``h`` ``M`` rows of one value
-    per vertex and ``w`` ``M`` rows of one per boundary node, all finite;
-    otherwise a ``ValueError`` names the entry.
+    ``q`` must hold ``M`` positive values in nondecreasing order, ``b`` and
+    ``h`` ``M`` rows of one value per vertex and ``w`` ``M`` rows of one per
+    boundary node, all finite; otherwise a ``ValueError`` names the entry.
     """
     if data["mesh_hash"] != mesh_hash(mesh):
         raise ValueError("basis was computed on a different mesh (hash mismatch)")
@@ -601,4 +600,6 @@ def basis_from_json_dict(data: dict, mesh: Mesh) -> SpectralBasis:
             )
         if not np.all(np.isfinite(a)):
             raise ValueError(f"basis entry '{key}' holds a non-finite value")
+    if not (np.all(arrays["q"] > 0) and np.all(np.diff(arrays["q"]) >= 0)):
+        raise ValueError("basis entry 'q' must be positive and nondecreasing")
     return SpectralBasis(mesh, arrays["q"], arrays["b"].T, arrays["h"].T, arrays["w"].T)

@@ -152,7 +152,7 @@ class TestCriterion5DeltaProperty:
             for x0 in points:
                 errors = []
                 for m in (1, 5, 20, 40):
-                    hx = disk_accept_basis.harmonic_values(x0, m, margin=0.2)
+                    hx = disk_accept_basis.harmonic_values(x0, m)
                     coeffs = disk_accept_basis.h_matrix[:, :m].T @ (ops.mass @ k.values)
                     integral = float(hx @ coeffs)
                     errors.append(abs(integral - fn(np.array(x0[0]), np.array(x0[1]))))

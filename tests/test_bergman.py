@@ -88,8 +88,6 @@ class TestReproducingKernel:
     def test_margin_enforced(self, disk_mid_basis):
         with pytest.raises(OutsideDomainError):
             reproducing_kernel_eval(disk_mid_basis, (0.999, 0), (0, 0))
-        with pytest.raises(OutsideDomainError):
-            reproducing_kernel_eval(disk_mid_basis, (0.5, 0), (0, 0), margin=0.6)
 
     def test_gram_positive_semidefinite(self, disk_mid_basis):
         rng = np.random.default_rng(9)

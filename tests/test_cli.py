@@ -113,6 +113,20 @@ class TestEigensolveCommands:
         data = json.loads(out.read_text())
         assert len(data["b"][0]) == mesh.vertices.shape[0]
 
+    def test_solver_failure_is_one_error_line(self, tmp_path, monkeypatch, capsys, recwarn):
+        from steklovsvd import cli
+        from steklovsvd.errors import IterationLimitError
+
+        message = "shift-invert Lanczos did not converge; partial results refused"
+
+        def fail(mesh, n_modes):
+            raise IterationLimitError(message)
+
+        monkeypatch.setattr(cli, "dirichlet_laplacian_eigensolve", fail)
+        out = tmp_path / "eigs.json"
+        code = run(["laplace-eigs", "--h", "0.3", "--modes", "3", "--out", out])
+        assert assert_one_input_error(code, capsys, recwarn, out) == f"error: {message}\n"
+
 
 class TestKernelCommand:
     def test_poisson_slice_near_uniform_at_center(self, tmp_path, basis_file):
@@ -441,6 +455,7 @@ class TestMeshAndBasisFileErrors:
         [
             ("disk;h=0.08", "has no 'radius' field"),
             ("disk;radius=x;h=0.08", "is invalid: could not convert string to float: 'x'"),
+            ("square;h=0.1", "has unknown kind 'square' (known: disk, polygon, meshfile)"),
         ],
     )
     def test_bad_domain_names_the_entry(self, tmp_path, capsys, domain, detail):
@@ -463,6 +478,10 @@ def _edit(key, change):
         return data
 
     return edit
+
+
+def _swap_q0_q5(q):
+    q[0], q[5] = q[5], q[0]
 
 
 class TestMalformedBasisFiles:
@@ -503,6 +522,18 @@ class TestMalformedBasisFiles:
         "M_missing": (
             lambda data: {k: v for k, v in data.items() if k != "M"}, "poisson",
             "basis file has no 'M' entry",
+        ),
+        "zero_q0": (
+            _edit("q", lambda q: q.__setitem__(0, 0.0)), "bergman",
+            "basis entry 'q' must be positive and nondecreasing",
+        ),
+        "negative_q0": (
+            _edit("q", lambda q: q.__setitem__(0, -2.0)), "poisson",
+            "basis entry 'q' must be positive and nondecreasing",
+        ),
+        "q0_q5_swapped": (
+            _edit("q", _swap_q0_q5), "bergman",
+            "basis entry 'q' must be positive and nondecreasing",
         ),
     }  # fmt: skip
 

@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 
+from steklovsvd import build_polygon_mesh, dbs_eigensolve, disk_mesh
+from steklovsvd.fem import BoundaryField, trace
 from steklovsvd.verify import SUITE_NAMES, run_suites
 
 
@@ -31,3 +34,32 @@ def test_every_result_names_measured_and_allowed(disk_coarse):
 def test_unknown_suite_rejected(disk_coarse):
     with pytest.raises(ValueError):
         run_suites(disk_coarse, ("bogus",))
+
+
+PENTAGON = [(0.0, 0.0), (2.0, 0.0), (3.0, 2.0), (1.0, 3.0), (-1.0, 1.0)]
+
+
+def _per_mode_identities(mesh, basis):
+    """The two identities as the per-mode loops over ``basis.pairs`` measured them."""
+    q = basis.q
+    worst = 0.0
+    for j, pair in enumerate(basis.pairs):
+        lhs = trace(pair.h)
+        rhs = np.sqrt(q[j] / mesh.boundary_length) * pair.w.values
+        worst = max(worst, BoundaryField(mesh, lhs.values - rhs).norm_normalized())
+    trace_flux = worst
+    worst = 0.0
+    for j, pair in enumerate(basis.pairs):
+        m_bb = pair.flux.inner_dsigma(pair.flux)
+        worst = max(worst, abs(m_bb * q[j] - 1.0))
+    return {"spectra.trace_flux_identity": trace_flux, "spectra.flux_energy_reciprocal": worst}
+
+
+@pytest.mark.parametrize("domain", ["disk", "pentagon"])
+def test_array_identities_equal_per_mode_loops(domain):
+    mesh = disk_mesh(1.0, 0.1) if domain == "disk" else build_polygon_mesh(PENTAGON, 0.2)
+    expected = _per_mode_identities(mesh, dbs_eigensolve(mesh, 12))
+    measured = {r.name: r.measured for r in run_suites(mesh, ("spectra",), n_modes=12)}
+    assert {name: measured[name].hex() for name in expected} == {
+        name: float(value).hex() for name, value in expected.items()
+    }
