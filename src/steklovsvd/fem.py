@@ -17,6 +17,12 @@ for every test function ``v``, that is ``(K u + M f)[boundary] / w``: the
 discrete Green-formula flux, superconvergent relative to pointwise
 gradient sampling.  The field-level functions below wrap the two.
 
+A solve with many right-hand sides is cut into fixed blocks of
+``_SOLVE_BLOCK`` columns, which run on a private pool of
+``min(2, usable CPUs)`` threads (the LU solves and BLAS products release
+the GIL).  The blocks never depend on the number of threads, so neither
+do the results: they are bitwise the same with one thread or two.
+
 Norm conventions for boundary data: ``norm_dsigma`` is the plain L2 norm
 with respect to arclength measure; ``norm_normalized`` divides the measure
 by the boundary length (so constants have unit norm).
@@ -24,7 +30,11 @@ by the boundary length (so constants have unit norm).
 
 from __future__ import annotations
 
+import logging
+import os
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -124,9 +134,65 @@ class BoundaryField:
         return self.norm_dsigma() / np.sqrt(self.mesh.boundary_length)
 
 
-# Boundary columns per block in ``AssembledOperators.boundary_form``: the
-# solver's right-hand side and each mass product stay ``n x 64``.
+_log = logging.getLogger("steklovsvd")
+
+# Columns per LU solve block.  Blocks start at column 0 and a trailing
+# one-column block joins the one before it: a one-column solve takes other
+# BLAS kernels and moves the last bits.  At most ``_WORKERS`` blocks are in
+# flight, each solved straight into its columns of the result.
+_SOLVE_BLOCK = 32
+# Boundary columns per extension when ``AssembledOperators.boundary_form``
+# builds the Schur form alone (two solve blocks), and rows per block of the
+# Gram product, one block at a time.  Two product blocks in flight would
+# hold two ``n x 64`` mass products, and 32-row blocks make BLAS sum small
+# products in another order.
 _FORM_BLOCK = 64
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+_WORKERS = min(2, _usable_cpus())
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_pool_thread = threading.local()
+
+
+def _column_blocks(width: int, size: int) -> list[slice]:
+    """``range(width)`` cut into ``size``-column blocks with no one-column tail."""
+    starts = list(range(0, width, size))
+    if len(starts) > 1 and width - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [width])]
+
+
+def _mark_pool_thread():
+    _pool_thread.active = True
+
+
+def _map_blocks(fn, blocks) -> None:
+    """Call ``fn(block)`` for every block, on the pool when it has two workers.
+
+    With one worker, one block, or when called from a pool thread (which
+    must not wait on its own pool), the blocks run inline in order.  The
+    pool is created on first use and its size logged at DEBUG.
+    """
+    global _pool
+    if _WORKERS < 2 or len(blocks) < 2 or getattr(_pool_thread, "active", False):
+        for block in blocks:
+            fn(block)
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS, "steklovsvd-lu", _mark_pool_thread)
+            _log.debug("LU column blocks run on a pool of %d threads", _WORKERS)
+        pool = _pool
+    for _ in pool.map(fn, blocks):
+        pass
 
 
 class AssembledOperators:
@@ -144,9 +210,13 @@ class AssembledOperators:
       (:meth:`boundary_form`) that the dense DBS and DtN eigensolvers
       read (``nb**2`` floats each, with ``nb`` boundary nodes).
 
-    Instances are immutable and safe to share between threads.  They keep
-    no reference to the mesh, so the per-mesh cache in :func:`operators`
-    drops them, factorization and forms included, with the mesh.
+    Instances may be shared between threads.  The matrices are never
+    changed after construction; the LU and each boundary form are built
+    under a per-instance lock, so at most once, and a thread that needs one
+    while another builds it waits for it.  Concurrent calls return the
+    same arrays as serial ones.  Instances keep no reference to the mesh,
+    so the per-mesh cache in :func:`operators` drops them, factorization
+    and forms included, with the mesh.
     """
 
     def __init__(self, mesh: Mesh):
@@ -187,15 +257,23 @@ class AssembledOperators:
         self.boundary_weights = mesh.boundary_weights
         self.boundary_length = mesh.boundary_length
         self._forms: dict[str, np.ndarray] = {}
+        self._lu = None
+        # Reentrant: a boundary form is built under it and factorizes first.
+        self._lock = threading.RLock()
 
     @cached_property
     def stiffness_ib(self) -> sp.csr_matrix:
         return self.stiffness[self.interior_idx][:, self.boundary_idx]
 
-    @cached_property
+    @property
     def interior_lu(self):
-        a_ii = self.stiffness[self.interior_idx][:, self.interior_idx].tocsc()
-        return splu(a_ii)
+        """Sparse LU of the interior stiffness block, factorized on first use."""
+        if self._lu is None:
+            with self._lock:
+                if self._lu is None:
+                    a_ii = self.stiffness[self.interior_idx][:, self.interior_idx].tocsc()
+                    self._lu = splu(a_ii)
+        return self._lu
 
     @property
     def interior_nnz(self) -> int:
@@ -212,40 +290,45 @@ class AssembledOperators:
 
         ``E`` is the discrete harmonic extension of the boundary identity
         (column ``j`` extends the unit vector of boundary node ``j``).  Both
-        forms are ``nb x nb``, read-only and built at most once.  ``E`` is
-        solved ``_FORM_BLOCK`` columns at a time, and the Schur form (the
-        stiffness matrix's boundary rows applied to ``E``) taken block by
-        block, so it alone never holds more of ``E``.  The Gram form needs
-        all of ``E`` (``n x nb``, dropped on return); it is multiplied out
-        on and below its diagonal and mirrored, so it is exactly
-        symmetric, and its extension also yields the Schur form.
+        forms are ``nb x nb``, read-only and built at most once.  Built
+        alone, the Schur form (the stiffness matrix's boundary rows applied
+        to ``E``) extends ``_FORM_BLOCK`` columns of ``E`` at a time, so it
+        never holds more of ``E``.  The Gram form needs all of ``E``
+        (``n x nb``, dropped on return), extended in one call; it is
+        multiplied out on and below its diagonal ``_FORM_BLOCK`` rows at a
+        time and mirrored, so it is exactly symmetric, and its extension
+        also yields the Schur form.
         """
         if kind not in ("gram", "schur"):
             raise ValueError(f"unknown boundary form {kind!r}")
         if kind not in self._forms:
-            for name, form in self._extend_identity(gram=kind == "gram").items():
-                form.setflags(write=False)
-                self._forms.setdefault(name, form)
+            with self._lock:
+                if kind not in self._forms:
+                    for name, form in self._extend_identity(gram=kind == "gram").items():
+                        form.setflags(write=False)
+                        self._forms.setdefault(name, form)
         return self._forms[kind]
 
     def _extend_identity(self, gram: bool) -> dict[str, np.ndarray]:
         nb = self.boundary_idx.size
-        blocks = [slice(s, min(s + _FORM_BLOCK, nb)) for s in range(0, nb, _FORM_BLOCK)]
+        blocks = _column_blocks(nb, _FORM_BLOCK)
         k_b = self.stiffness[self.boundary_idx]
-
-        def extend(cols):
-            unit = np.zeros((nb, cols.stop - cols.start))
-            unit[cols] = np.eye(cols.stop - cols.start)
-            return self.extend_boundary_columns(unit)
-
         if not gram:
             schur = np.empty((nb, nb))
             for cols in blocks:
-                schur[:, cols] = k_b @ extend(cols)
+                unit = np.zeros((nb, cols.stop - cols.start))
+                unit[cols] = np.eye(cols.stop - cols.start)
+                schur[:, cols] = k_b @ self.extend_boundary_columns(unit)
             return {"schur": schur}
-        ext = np.empty((self.n_vertices, nb))
-        for cols in blocks:
-            ext[:, cols] = extend(cols)
+        # The identity as a strided view of 2 nb - 1 floats: no nb x nb array
+        # is held while the extension's blocks are in flight.
+        diagonal = np.zeros(2 * nb - 1)
+        diagonal[nb - 1] = 1.0
+        step = diagonal.strides[0]
+        identity = np.lib.stride_tricks.as_strided(
+            diagonal[nb - 1 :], (nb, nb), (-step, step), writeable=False
+        )
+        ext = self.extend_boundary_columns(identity)
         form = np.empty((nb, nb))
         for cols in blocks:
             form[cols, : cols.stop] = (self.mass @ ext[:, cols]).T @ ext[:, : cols.stop]
@@ -264,22 +347,27 @@ class AssembledOperators:
         the boundary values (``nb`` rows); each is a vector or one column
         per field.  ``None`` means zero, and its term is skipped rather
         than multiplied out.  The interior rows solve
-        ``A_II u_I = -(M f)_I - K_IB g``.
+        ``A_II u_I = -(M f)_I - K_IB g``, in blocks of ``_SOLVE_BLOCK``
+        columns that run concurrently and are solved straight into ``u``.
         """
         if mf is None and g is None:
             return np.zeros(self.n_vertices)
-        if mf is None:
-            rhs = -(self.stiffness_ib @ g)
-        elif g is None:
-            rhs = -mf[self.interior_idx]
-        else:
-            rhs = -mf[self.interior_idx] - self.stiffness_ib @ g
-        interior = self.interior_lu.solve(rhs)
-        del rhs  # not held while ``u`` is allocated
+        # Read (and built) here, never first in a pool thread.
+        lu, k_ib, rows = self.interior_lu, self.stiffness_ib, self.interior_idx
         # Boundary and interior nodes partition the vertices: every row is written.
-        u = np.empty((self.n_vertices,) + interior.shape[1:])
-        u[self.interior_idx] = interior
+        u = np.empty((self.n_vertices,) + (mf if g is None else g).shape[1:])
         u[self.boundary_idx] = 0.0 if g is None else g
+
+        def solve(cols):
+            # Negated in place: a block holds its right-hand side and solution.
+            rhs = k_ib @ g[:, cols] if mf is None else mf[rows, cols]
+            np.negative(rhs, out=rhs)
+            if mf is not None and g is not None:
+                rhs -= k_ib @ g[:, cols]
+            u[rows, cols] = lu.solve(rhs)
+
+        # A vector is one block; ``...`` indexes all of it.
+        _map_blocks(solve, _column_blocks(u.shape[1], _SOLVE_BLOCK) if u.ndim == 2 else [...])
         return u
 
     def boundary_flux(self, u: np.ndarray, mf=None) -> np.ndarray:
@@ -298,15 +386,26 @@ class AssembledOperators:
 _OPERATOR_CACHE: "weakref.WeakKeyDictionary[Mesh, AssembledOperators]" = (
     weakref.WeakKeyDictionary()
 )
+_operator_lock = threading.Lock()
 
 
 def operators(mesh: Mesh) -> AssembledOperators:
-    """Assembled operators for ``mesh``, cached per mesh instance."""
-    ops = _OPERATOR_CACHE.get(mesh)
-    if ops is None:
-        ops = AssembledOperators(mesh)
-        _OPERATOR_CACHE[mesh] = ops
+    """Assembled operators for ``mesh``, cached per mesh instance (one per mesh)."""
+    with _operator_lock:
+        ops = _OPERATOR_CACHE.get(mesh)
+        if ops is None:
+            ops = _OPERATOR_CACHE[mesh] = AssembledOperators(mesh)
     return ops
+
+
+def _after_fork_in_child():
+    """A forked child has none of the parent's threads: drop their pool and locks."""
+    global _pool, _pool_lock, _operator_lock
+    _pool, _pool_lock, _operator_lock = None, threading.Lock(), threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def trace(u: InteriorField) -> BoundaryField:
