@@ -2,28 +2,28 @@
 
 All floats are rendered with 17 significant digits (``%.17g``) so identical
 inputs produce byte-identical files; :func:`format_floats` is the one
-routine that turns floats into text, a row at a time.  Writes go through a
-temporary file in the target directory followed by an atomic rename; files
-written together appear together or not at all.
+routine that turns floats into text, a whole table (a JSON matrix, a CSV)
+in one ``%`` call.  Writes go through a temporary file in the target
+directory followed by an atomic rename; files written together appear
+together or not at all.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 
 import numpy as np
 
-_FMT = "%.17g".__mod__
 
-
-def format_floats(values, sep: str = ",") -> str:
-    """Join the ``%.17g`` renderings of a flat float sequence with ``sep``.
+def fill_template(template: str, values: tuple) -> str:
+    """``template % values``, for a template whose only letters are in its ``%`` fields.
 
     Raises ``ValueError`` naming the first non-finite value.
     """
-    text = sep.join(map(_FMT, values))
+    text = template % values
     # 'nan', 'inf' and '-inf' are the only renderings that contain an 'n'.
     if "n" in text:
         bad = next(v for v in values if not math.isfinite(v))
@@ -31,16 +31,36 @@ def format_floats(values, sep: str = ",") -> str:
     return text
 
 
+def format_floats(rows, sep: str = ",", row_sep: str | None = None) -> str:
+    """The ``%.17g`` renderings of a float table, formatted in one ``%`` call.
+
+    ``rows`` is a sequence of float rows, which may be ragged: values join
+    with ``sep`` and rows with ``row_sep``.  Without ``row_sep``, ``rows``
+    is one flat row.  Raises ``ValueError`` naming the first non-finite
+    value in row-major order.
+    """
+    if row_sep is None:
+        rows, row_sep = (rows,), ""
+    template = row_sep.join(sep.join(("%.17g",) * len(r)) for r in rows)
+    return fill_template(template, tuple(itertools.chain.from_iterable(rows)))
+
+
 def fmt_float(x: float) -> str:
     return format_floats((float(x),))
+
+
+def _is_float_row(obj) -> bool:
+    return set(map(type, obj)) <= {float}
 
 
 def _canonical(obj):
     if isinstance(obj, dict):
         return "{" + ",".join(f"{json.dumps(str(k))}:{_canonical(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) <= {float}:
+        if _is_float_row(obj):
             return "[" + format_floats(obj) + "]"
+        if all(isinstance(r, (list, tuple)) and _is_float_row(r) for r in obj):
+            return "[[" + format_floats(obj, ",", "],[") + "]]"
         return "[" + ",".join(_canonical(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
         return _canonical(obj.tolist())

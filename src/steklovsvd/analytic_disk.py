@@ -27,7 +27,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._serialize import fmt_float
+from ._serialize import format_floats
 
 __all__ = [
     "bessel_j",
@@ -350,13 +350,9 @@ def build_oracle_table() -> list[DiskMode]:
 
 
 def oracle_table_csv(rows: list[DiskMode]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["family", "k", "m", "parity", "R", "eigenvalue"])
-    writer.writerows(
-        [r.family, r.k, r.m, r.parity, fmt_float(r.radius), fmt_float(r.eigenvalue)] for r in rows
-    )
-    return buf.getvalue()
+    floats = format_floats([(r.radius, r.eigenvalue) for r in rows], ",", "\n").split("\n")
+    lines = [f"{r.family},{r.k},{r.m},{r.parity},{pair}\n" for r, pair in zip(rows, floats)]
+    return "family,k,m,parity,R,eigenvalue\n" + "".join(lines)
 
 
 def load_oracle_table() -> list[DiskMode]:

@@ -184,4 +184,4 @@ def kernel_grid_csv(basis: SpectralBasis, x, m: int | None = None) -> str:
     kernel = TruncatedKernel(basis, m)
     values = kernel.values_on_vertices(x)
     rows = np.column_stack([basis.mesh.vertices, values]).tolist()
-    return "x,y,value\n" + "".join(format_floats(row) + "\n" for row in rows)
+    return "x,y,value\n" + format_floats(rows, ",", "\n") + "\n"

@@ -209,7 +209,7 @@ def _domain_mesh(args) -> tuple[Mesh, str]:
     if pts.shape[1] != 2:
         raise InputError("vertices file must contain two columns (x y)")
     mesh = build_polygon_mesh(pts, args.h)
-    packed = ",".join(format_floats(xy, " ") for xy in pts.tolist())
+    packed = format_floats(pts.tolist(), " ", ",")
     return mesh, f"polygon;h={fmt_float(args.h)};vertices={packed}"
 
 
@@ -304,24 +304,26 @@ def _cmd_mesh(args) -> int:
 
 
 def _steklov_payload(mesh, descriptor, pairs) -> dict:
+    digest = mesh_hash(mesh)
     return {
         "domain": descriptor,
         "boundary_length": mesh.boundary_length,
         "M": len(pairs),
         "delta": [p.delta for p in pairs],
         "s": [p.s.values.tolist() for p in pairs],
-        "mesh_hash": mesh_hash(mesh),
+        "mesh_hash": digest,
     }
 
 
 def _laplace_payload(mesh, descriptor, pairs) -> dict:
+    digest = mesh_hash(mesh)
     return {
         "domain": descriptor,
         "M": len(pairs),
         "lambda": [p.lam for p in pairs],
         "e": [p.e.values.tolist() for p in pairs],
         "flux": [p.flux.values.tolist() for p in pairs],
-        "mesh_hash": mesh_hash(mesh),
+        "mesh_hash": digest,
     }
 
 
@@ -341,7 +343,8 @@ def _cmd_eigen(args) -> int:
     mesh, descriptor = _domain_mesh(args)
     solve, payload = _EIGEN_COMMANDS[args.command]
     result = solve(mesh, args.modes)
-    # No name holds the payload, so it is freed before the mesh text is built.
+    # Each builder hashes the mesh before it makes its float lists, so the
+    # mesh text is built while no list is alive; no name holds the payload.
     text = dumps_canonical(payload(mesh, descriptor, result))
     mesh_output = [(args.mesh_out, write_mesh_text(mesh))] if args.mesh_out else []
     _write(args.out, text, *mesh_output)

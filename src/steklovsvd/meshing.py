@@ -26,13 +26,14 @@ midpoints of disk meshes are projected back onto the circle.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from ._serialize import format_floats
+from ._serialize import fill_template
 from .errors import OutsideDomainError
 
 __all__ = [
@@ -46,6 +47,10 @@ __all__ = [
     "read_mesh_text",
     "mesh_hash",
 ]
+
+
+# Rows of mesh text formatted per ``%`` call.
+_TEXT_CHUNK = 512
 
 
 def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -278,17 +283,26 @@ class Mesh:
 
     @cached_property
     def _text(self) -> str:
-        """Canonical text of :func:`write_mesh_text`, built once: the arrays are read-only."""
-        flags = self.is_boundary.astype(int).tolist()
-        lines = [f"nodes {self.vertices.shape[0]}"]
-        lines += [f"{format_floats(xy, ' ')} {fb}" for xy, fb in zip(self.vertices, flags)]
-        lines.append(f"triangles {self.triangles.shape[0]}")
-        lines += [f"{i} {j} {k}" for i, j, k in self.triangles]
-        lines.append(f"boundary_loops {len(self.boundary_loops)}")
+        """Canonical text of :func:`write_mesh_text`, built once: the arrays are read-only.
+
+        Vertex and triangle lines are formatted ``_TEXT_CHUNK`` rows per
+        ``%`` call, which bounds the Python objects alive at once.
+        """
+        v, t, flags = self.vertices, self.triangles, self.is_boundary.astype(int)
+        parts = [f"nodes {v.shape[0]}\n"]
+        for a in range(0, v.shape[0], _TEXT_CHUNK):
+            rows = slice(a, a + _TEXT_CHUNK)
+            x, y = v[rows].T.tolist()
+            values = tuple(itertools.chain.from_iterable(zip(x, y, flags[rows].tolist())))
+            parts.append(fill_template("%.17g %.17g %d\n" * len(x), values))
+        parts.append(f"triangles {t.shape[0]}\n")
+        for a in range(0, t.shape[0], _TEXT_CHUNK):
+            chunk = t[a : a + _TEXT_CHUNK]
+            parts.append("%d %d %d\n" * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+        parts.append(f"boundary_loops {len(self.boundary_loops)}\n")
         for loop in self.boundary_loops:
-            lines.append(f"loop {len(loop)}")
-            lines.append(" ".join(map(str, loop.tolist())))
-        return "\n".join(lines) + "\n"
+            parts.append(f"loop {len(loop)}\n" + " ".join(map(str, loop.tolist())) + "\n")
+        return "".join(parts)
 
     def outward_clearance(self) -> np.ndarray:
         """Per boundary edge, its normal dotted with the vector from the owning

@@ -128,7 +128,7 @@ def kernel_slice(svd: PoissonSvd, x, m: int | None = None):
 def kernel_slice_csv(svd: PoissonSvd, x, m: int | None = None) -> str:
     """CSV ``z_arclength,value`` of the kernel slice at fixed interior ``x``."""
     rows = np.column_stack(kernel_slice(svd, x, m)).tolist()
-    return "z_arclength,value\n" + "".join(format_floats(row) + "\n" for row in rows)
+    return "z_arclength,value\n" + format_floats(rows, ",", "\n") + "\n"
 
 
 def extension_norm(svd: PoissonSvd) -> float:

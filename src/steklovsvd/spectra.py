@@ -561,6 +561,8 @@ def trace_sobolev_norm(
 
 def basis_to_json_dict(basis: SpectralBasis, domain: str) -> dict:
     """Schema: domain, boundary_length, M, q, b, h, w, mesh_hash."""
+    # Hashed first: the mesh text is built before the float lists exist.
+    digest = mesh_hash(basis.mesh)
     return {
         "domain": domain,
         "boundary_length": basis.boundary_length,
@@ -569,7 +571,7 @@ def basis_to_json_dict(basis: SpectralBasis, domain: str) -> dict:
         "b": basis.b_matrix.T.tolist(),
         "h": basis.h_matrix.T.tolist(),
         "w": basis.w_matrix.T.tolist(),
-        "mesh_hash": mesh_hash(basis.mesh),
+        "mesh_hash": digest,
     }
 
 

@@ -18,11 +18,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from steklovsvd import meshing
 from steklovsvd._serialize import atomic_write_text, dumps_canonical, fmt_float, format_floats
 from steklovsvd.bergman import TruncatedKernel, kernel_grid_csv
-from steklovsvd.meshing import Mesh, disk_mesh, mesh_hash, write_mesh_text
+from steklovsvd.cli import main
+from steklovsvd.meshing import (
+    Mesh,
+    build_polygon_mesh,
+    disk_mesh,
+    mesh_hash,
+    refine,
+    write_mesh_text,
+)
 from steklovsvd.poisson import PoissonSvd, kernel_slice, kernel_slice_csv
-from steklovsvd.spectra import basis_to_json_dict, dbs_eigensolve
+from steklovsvd.spectra import (
+    basis_from_json_dict,
+    basis_to_json_dict,
+    dbs_eigensolve,
+    dirichlet_laplacian_eigensolve,
+    harmonic_steklov_eigensolve,
+)
 
 # -- reference implementations -------------------------------------------------------
 
@@ -278,6 +293,183 @@ def test_kernel_csvs_match_reference(small_basis):
     assert kernel_grid_csv(small_basis, x, 8) == ref_kernel_grid_csv(
         small_basis.mesh.vertices, values
     )
+
+
+
+# -- whole tables ------------------------------------------------------------------------
+
+float_rows = st.lists(finite_floats, max_size=8)
+# Ragged tables of list and tuple rows, empty rows and empty tables included.
+float_tables = st.lists(st.one_of(float_rows, float_rows.map(tuple)), max_size=8)
+
+
+def ref_table(table, sep, row_sep) -> str:
+    return row_sep.join(sep.join(ref_fmt_float(v) for v in row) for row in table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_tables)
+@example([])
+@example([[]])
+@example([[], (), []])
+@example([[0.1]])
+@example([(0.1,)])
+@example([EDGE_FLOATS, (), EDGE_FLOATS[:1], tuple(EDGE_FLOATS[3:])])
+def test_float_tables_match_reference(table):
+    for payload in (table, tuple(table), {"m": table}, [table, table[:1]], [[table]]):
+        assert dumps_canonical(payload) == ref_dumps_canonical(payload)
+    assert format_floats(table, ",", "],[") == ref_table(table, ",", "],[")
+    assert format_floats(table, " ", "\n") == ref_table(table, " ", "\n")
+
+
+RAGGED = [[0.5, -1.5, 2.0, 1 / 3], [1e300, 5e-324, -0.0], [0.1, 7.0, 2.0**53, -3.0, 1e17], [1.0]]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k, j", [(0, 0), (0, 3), (1, 1), (2, 4), (3, 0)])
+def test_non_finite_table_entry_raises_the_reference_message(bad, k, j):
+    table = [list(row) for row in RAGGED]
+    table[k][j] = bad
+    if k < 3:
+        # A different non-finite value later on: the first one is named.
+        table[3][0] = math.inf if math.isnan(bad) else math.nan
+    with pytest.raises(ValueError) as ref_exc:
+        ref_dumps_canonical(table)
+    for call in (
+        lambda: dumps_canonical(table),
+        lambda: dumps_canonical({"x": [1, {"m": table}]}),
+        lambda: format_floats(table, ",", "\n"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == str(ref_exc.value)
+
+
+@pytest.mark.parametrize(
+    "odd",
+    [True, False, 0, -7, 2**70, None, np.float64(0.1), np.float64(-0.0), np.bool_(True),
+     np.int64(3)],
+    ids=repr,
+)  # fmt: skip
+@pytest.mark.parametrize("k, j", [(0, 0), (1, 2), (3, 0)])
+def test_rows_with_non_float_items_keep_per_element_rendering(odd, k, j):
+    table = [list(row) for row in RAGGED]
+    table[k][j] = odd
+    for payload in (table, [tuple(row) for row in table], {"m": table}):
+        assert dumps_canonical(payload) == ref_dumps_canonical(payload)
+
+
+PENTAGON = [(0.0, 0.0), (2.0, 0.0), (3.0, 2.0), (1.0, 3.0), (-1.0, 1.0)]
+
+
+@pytest.fixture(scope="module")
+def text_meshes():
+    disks = {h: disk_mesh(1.0, h) for h in (0.2, 0.1, 0.05)}
+    pentagon = build_polygon_mesh(PENTAGON, 0.2)
+    return {
+        **{f"disk_h{h}": mesh for h, mesh in disks.items()},
+        "refined_disk_h0.2": refine(disks[0.2]),
+        "refined_disk_h0.1": refine(disks[0.1]),
+        "pentagon": pentagon,
+        "refined_pentagon": refine(pentagon),
+    }
+
+
+def test_mesh_text_corpus_straddles_the_chunk_size(text_meshes):
+    counts = [n for m in text_meshes.values() for n in (m.vertices.shape[0], m.triangles.shape[0])]
+    assert min(counts) < meshing._TEXT_CHUNK < 2 * meshing._TEXT_CHUNK < max(counts)
+    assert any(n % meshing._TEXT_CHUNK for n in counts)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["disk_h0.2", "disk_h0.1", "disk_h0.05", "refined_disk_h0.2", "refined_disk_h0.1",
+     "pentagon", "refined_pentagon"],
+)  # fmt: skip
+def test_mesh_text_matches_reference_across_chunks(text_meshes, name):
+    mesh = text_meshes[name]
+    expected = ref_write_mesh_text(mesh)
+    assert write_mesh_text(mesh) == expected
+    assert mesh_hash(mesh) == hashlib.sha256(expected.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mesh_text_refuses_a_non_finite_vertex_in_a_later_chunk(text_meshes, bad):
+    # An unused vertex is not checked by the constructor; the writer names it.
+    base = text_meshes["disk_h0.05"]
+    mesh = Mesh(np.vstack([base.vertices, [[0.25, bad]]]), base.triangles)
+    with pytest.raises(ValueError) as ref_exc:
+        ref_fmt_float(bad)
+    with pytest.raises(ValueError) as exc:
+        write_mesh_text(mesh)
+    assert str(exc.value) == str(ref_exc.value)
+
+
+# -- the CLI's files ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("domain", ["disk", "pentagon"])
+def test_cli_writes_the_reference_bytes(tmp_path, domain):
+    if domain == "disk":
+        mesh = disk_mesh(1.0, 0.1)
+        flags = ["--domain", "disk", "--radius", "1", "--h", "0.1"]
+        descriptor = f"disk;radius={ref_fmt_float(1.0)};h={ref_fmt_float(0.1)}"
+    else:
+        corners = tmp_path / "corners.txt"
+        corners.write_text("".join(f"{x} {y}\n" for x, y in PENTAGON))
+        mesh = build_polygon_mesh(PENTAGON, 0.2)
+        flags = ["--domain", "polygon", "--vertices-file", corners, "--h", "0.2"]
+        descriptor = f"polygon;h={ref_fmt_float(0.2)};vertices=" + ",".join(
+            f"{ref_fmt_float(x)} {ref_fmt_float(y)}" for x, y in PENTAGON
+        )
+    mesh_text = ref_write_mesh_text(mesh)
+    digest = hashlib.sha256(mesh_text.encode()).hexdigest()
+
+    def written(name, *argv):
+        out = tmp_path / name
+        assert main([str(a) for a in (*argv, "--out", out)]) == 0, name
+        return out.read_bytes()
+
+    assert written("mesh.txt", "mesh", *flags) == mesh_text.encode()
+
+    basis_path, mesh_path = tmp_path / "basis.json", tmp_path / "basis-mesh.txt"
+    written(basis_path.name, "dbs", *flags, "--modes", "8", "--mesh-out", mesh_path)
+    basis = dbs_eigensolve(mesh, 8)
+    assert mesh_hash(basis.mesh) == digest
+    assert basis_path.read_bytes() == ref_dumps_canonical(
+        ref_basis_to_json_dict(basis, descriptor)
+    ).encode()
+    assert mesh_path.read_bytes() == mesh_text.encode()
+
+    pairs = harmonic_steklov_eigensolve(mesh, 5)
+    assert written("steklov.json", "steklov", *flags, "--modes", "5") == ref_dumps_canonical({
+        "domain": descriptor,
+        "boundary_length": mesh.boundary_length,
+        "M": len(pairs),
+        "delta": [p.delta for p in pairs],
+        "s": [p.s.values for p in pairs],
+        "mesh_hash": digest,
+    }).encode()  # fmt: skip
+
+    pairs = dirichlet_laplacian_eigensolve(mesh, 3)
+    assert written("laplace.json", "laplace-eigs", *flags, "--modes", "3") == ref_dumps_canonical({
+        "domain": descriptor,
+        "M": len(pairs),
+        "lambda": [p.lam for p in pairs],
+        "e": [p.e.values for p in pairs],
+        "flux": [p.flux.values for p in pairs],
+        "mesh_hash": digest,
+    }).encode()  # fmt: skip
+
+    loaded = basis_from_json_dict(json.loads(basis_path.read_text()), mesh)
+    x = (0.5, 0.5)
+    query = ["kernel", "--basis", basis_path, "--x", "0.5,0.5", "--modes", "6"]
+    assert written("slice.csv", *query) == ref_kernel_slice_csv(
+        *kernel_slice(PoissonSvd.from_basis(loaded), x, 6)
+    ).encode()
+    assert written("grid.csv", *query, "--which", "bergman") == ref_kernel_grid_csv(
+        mesh.vertices, TruncatedKernel(loaded, 6).values_on_vertices(x)
+    ).encode()
 
 
 # -- atomic writes -------------------------------------------------------------------
