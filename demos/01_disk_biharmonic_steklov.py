@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from steklovsvd import dbs_eigensolve, disk_mesh, refine
+from steklovsvd.fem import BoundaryField
 
 EXPECTED = np.array([2.0, 4.0, 4.0, 6.0, 6.0, 8.0, 8.0])
 
@@ -32,14 +33,13 @@ for level in range(3):
 print()
 print("== Structure of the first eigenpair (radial mode) ==")
 basis = dbs_eigensolve(mesh, 7)
-pair = basis.pairs[0]
-print(f"q_1               = {basis.q[0]:.6f}   (exact 2)")
-print(f"max |w_1 - 1|     = {np.max(np.abs(pair.w.values - 1)):.2e}   (w_1 is the constant 1)")
-print(
-    "max |h_1 - 1/sqrt(pi)| = "
-    f"{np.max(np.abs(pair.h.values - 1 / math.sqrt(math.pi))):.2e}"
-)
-flux_energy = pair.flux.inner_dsigma(pair.flux)
+q1, h1, w1 = basis.q[0], basis.h_matrix[:, 0], basis.w_matrix[:, 0]
+print(f"q_1               = {q1:.6f}   (exact 2)")
+print(f"max |w_1 - 1|     = {np.max(np.abs(w1 - 1)):.2e}   (w_1 is the constant 1)")
+print(f"max |h_1 - 1/sqrt(pi)| = {np.max(np.abs(h1 - 1 / math.sqrt(math.pi))):.2e}")
+# The normal flux of b_1 is w_1 / sqrt(q_1 |bdy|).
+flux = BoundaryField(mesh, w1 / math.sqrt(q1 * mesh.boundary_length))
+flux_energy = flux.inner_dsigma(flux)
 print(f"flux energy m(b,b) = {flux_energy:.8f}   (exact 1/q = 0.5)")
 
 print()

@@ -70,7 +70,6 @@ from .poisson import (
     truncation_error_report,
 )
 from .spectra import (
-    DbsEigenpair,
     DirichletEigenpair,
     HarmonicSteklovPair,
     SpectralBasis,

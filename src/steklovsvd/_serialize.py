@@ -3,9 +3,11 @@
 All floats are rendered with 17 significant digits (``%.17g``) so identical
 inputs produce byte-identical files; :func:`format_floats` is the one
 routine that turns floats into text, a whole table (a JSON matrix, a CSV)
-in one ``%`` call.  Writes go through a temporary file in the target
-directory followed by an atomic rename; files written together appear
-together or not at all.
+in one ``%`` call.  In canonical JSON a float table is a float64 ndarray
+of one or two dimensions; lists, tuples and other arrays are written
+element by element, with the same bytes.  Writes go through a temporary
+file in the target directory followed by an atomic rename; files written
+together appear together or not at all.
 """
 
 from __future__ import annotations
@@ -49,20 +51,16 @@ def fmt_float(x: float) -> str:
     return format_floats((float(x),))
 
 
-def _is_float_row(obj) -> bool:
-    return set(map(type, obj)) <= {float}
-
-
 def _canonical(obj):
     if isinstance(obj, dict):
         return "{" + ",".join(f"{json.dumps(str(k))}:{_canonical(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
-        if _is_float_row(obj):
-            return "[" + format_floats(obj) + "]"
-        if all(isinstance(r, (list, tuple)) and _is_float_row(r) for r in obj):
-            return "[[" + format_floats(obj, ",", "],[") + "]]"
         return "[" + ",".join(_canonical(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim == 1:
+            return "[" + format_floats(obj.tolist()) + "]"
+        if obj.dtype == np.float64 and obj.ndim == 2 and obj.shape[0]:
+            return "[[" + format_floats(obj.tolist(), ",", "],[") + "]]"
         return _canonical(obj.tolist())
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"

@@ -14,7 +14,9 @@ Bessel functions are implemented here directly (ascending series for small
 argument, downward recurrence with series normalization otherwise) so the
 oracle has no dependency on the code paths it is used to check; zeros are
 found by bracketing plus bisection to 1e-12.  Everything is a pure
-function and therefore trivially thread-safe.
+function except :func:`bessel_j_zero`, which caches the zeros it has
+located per order; its scans run one at a time under a module lock, so
+concurrent calls return the serial values.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import threading
 from dataclasses import dataclass
 from importlib import resources
 
@@ -112,38 +115,41 @@ def bessel_j(order: int, x) -> float | np.ndarray:
 
 
 _ZERO_CACHE: dict[int, list[float]] = {}
+_ZERO_LOCK = threading.Lock()
 
 
 def bessel_j_zero(order: int, m: int) -> float:
     """m-th positive zero of J_order, bracketed on a grid then bisected to 1e-12."""
     if m < 1:
         raise ValueError("zero index m must be >= 1")
-    zeros = _ZERO_CACHE.setdefault(order, [])
-    # Resume a little past the last located zero: exactly at it the sign of
-    # the residual is arbitrary and would create a spurious bracket.
-    x = zeros[-1] + 1e-6 if zeros else max(order, 0) + 1e-6
-    f_prev = bessel_j(order, x)
-    step = 0.25
-    while len(zeros) < m:
-        x_next = x + step
-        f_next = bessel_j(order, x_next)
-        if f_prev == 0.0:
-            zeros.append(x)
-        elif f_prev * f_next < 0:
-            lo, hi = x, x_next
-            flo = f_prev
-            while hi - lo > 1e-13:
-                mid = 0.5 * (lo + hi)
-                fmid = bessel_j(order, mid)
-                if flo * fmid <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            zeros.append(0.5 * (lo + hi))
-        x, f_prev = x_next, f_next
-        if x > order + 4.0 * math.pi * (m + 2) + 20:
-            raise RuntimeError("bracketing failed to locate the requested Bessel zero")
-    return zeros[m - 1]
+    # One scan at a time: each resumes from the cache that the last one left.
+    with _ZERO_LOCK:
+        zeros = _ZERO_CACHE.setdefault(order, [])
+        # Resume a little past the last located zero: exactly at it the sign of
+        # the residual is arbitrary and would create a spurious bracket.
+        x = zeros[-1] + 1e-6 if zeros else max(order, 0) + 1e-6
+        f_prev = bessel_j(order, x)
+        step = 0.25
+        while len(zeros) < m:
+            x_next = x + step
+            f_next = bessel_j(order, x_next)
+            if f_prev == 0.0:
+                zeros.append(x)
+            elif f_prev * f_next < 0:
+                lo, hi = x, x_next
+                flo = f_prev
+                while hi - lo > 1e-13:
+                    mid = 0.5 * (lo + hi)
+                    fmid = bessel_j(order, mid)
+                    if flo * fmid <= 0:
+                        hi = mid
+                    else:
+                        lo, flo = mid, fmid
+                zeros.append(0.5 * (lo + hi))
+            x, f_prev = x_next, f_next
+            if x > order + 4.0 * math.pi * (m + 2) + 20:
+                raise RuntimeError("bracketing failed to locate the requested Bessel zero")
+        return zeros[m - 1]
 
 
 # -- closed-form disk modes --------------------------------------------------------

@@ -309,8 +309,8 @@ def _steklov_payload(mesh, descriptor, pairs) -> dict:
         "domain": descriptor,
         "boundary_length": mesh.boundary_length,
         "M": len(pairs),
-        "delta": [p.delta for p in pairs],
-        "s": [p.s.values.tolist() for p in pairs],
+        "delta": np.array([p.delta for p in pairs]),
+        "s": np.array([p.s.values for p in pairs]),
         "mesh_hash": digest,
     }
 
@@ -320,9 +320,9 @@ def _laplace_payload(mesh, descriptor, pairs) -> dict:
     return {
         "domain": descriptor,
         "M": len(pairs),
-        "lambda": [p.lam for p in pairs],
-        "e": [p.e.values.tolist() for p in pairs],
-        "flux": [p.flux.values.tolist() for p in pairs],
+        "lambda": np.array([p.lam for p in pairs]),
+        "e": np.array([p.e.values for p in pairs]),
+        "flux": np.array([p.flux.values for p in pairs]),
         "mesh_hash": digest,
     }
 
@@ -343,8 +343,8 @@ def _cmd_eigen(args) -> int:
     mesh, descriptor = _domain_mesh(args)
     solve, payload = _EIGEN_COMMANDS[args.command]
     result = solve(mesh, args.modes)
-    # Each builder hashes the mesh before it makes its float lists, so the
-    # mesh text is built while no list is alive; no name holds the payload.
+    # Each builder hashes the mesh before it stacks its arrays, so the mesh
+    # text is built while no stacked copy is alive; no name holds the payload.
     text = dumps_canonical(payload(mesh, descriptor, result))
     mesh_output = [(args.mesh_out, write_mesh_text(mesh))] if args.mesh_out else []
     _write(args.out, text, *mesh_output)
@@ -378,8 +378,8 @@ def _cmd_extend(args) -> int:
         "extension_norm_dsigma": extension_norm(svd),
         "extension_norm_normalized": extension_norm(svd)
         * float(np.sqrt(svd.boundary_length)),
-        "coefficients": basis.boundary_coeffs(g)[:m].tolist(),
-        "values": field.values.tolist(),
+        "coefficients": basis.boundary_coeffs(g)[:m],
+        "values": field.values,
     }
     _write(args.out, dumps_canonical(payload))
     return 0
@@ -392,10 +392,10 @@ def _cmd_project(args) -> int:
     projection = bergman_project(f, basis, m)
     payload = {
         "M": int(m),
-        "coefficients": basis.interior_coeffs(f)[:m].tolist(),
+        "coefficients": basis.interior_coeffs(f)[:m],
         "norm_input": f.norm_l2(),
         "norm_projection": projection.norm_l2(),
-        "values": projection.values.tolist(),
+        "values": projection.values,
     }
     _write(args.out, dumps_canonical(payload))
     return 0

@@ -84,8 +84,8 @@ def _boundary_node_index(svd: PoissonSvd, z) -> int:
     coords = mesh.vertices[mesh.boundary_nodes]
     dist = np.hypot(*(coords - z).T)
     idx = int(np.argmin(dist))
-    diameter = mesh.vertices.max() - mesh.vertices.min()
-    if dist[idx] > 1e-8 * max(diameter, 1.0):
+    extent = float(np.ptp(mesh.vertices, axis=0).max())
+    if dist[idx] > 1e-8 * max(extent, 1.0):
         raise OutsideDomainError(f"{tuple(z.tolist())} is not a boundary node of the mesh")
     return idx
 

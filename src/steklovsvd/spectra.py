@@ -57,7 +57,6 @@ from .fem import (
 from .meshing import Mesh, mesh_hash
 
 __all__ = [
-    "DbsEigenpair",
     "SpectralBasis",
     "HarmonicSteklovPair",
     "DirichletEigenpair",
@@ -139,30 +138,13 @@ def _fix_signs(columns: list[np.ndarray], reference: np.ndarray):
         mat[:, flip] = -mat[:, flip]
 
 
-@dataclass(eq=False)
-class DbsEigenpair:
-    """One biharmonic Steklov eigenpair.
-
-    ``b`` has zero trace and unit Laplacian norm, ``h`` is its (harmonic)
-    Laplacian with unit L2 norm, and ``w = sqrt(q |bdy|) * D_nu b`` has
-    unit norm in the normalized boundary inner product.
-    """
-
-    q: float
-    b: InteriorField
-    h: InteriorField
-    w: BoundaryField
-
-    @property
-    def flux(self) -> BoundaryField:
-        """Consistent normal flux of ``b`` (equals ``w / sqrt(q |bdy|)``)."""
-        mesh = self.b.mesh
-        scale = np.sqrt(self.q * mesh.boundary_length)
-        return BoundaryField(mesh, self.w.values / scale)
-
-
 class SpectralBasis:
-    """Ordered biharmonic Steklov eigenpairs plus vectorized accessors.
+    """Ordered biharmonic Steklov eigenpairs as columns, plus vectorized accessors.
+
+    Column ``j`` of ``b_matrix`` has zero trace and unit Laplacian norm,
+    column ``j`` of ``h_matrix`` is its (harmonic) Laplacian with unit L2
+    norm, and ``w_j = sqrt(q_j |bdy|) D_nu b_j`` has unit norm in the
+    normalized boundary inner product.
 
     Attributes
     ----------
@@ -173,7 +155,6 @@ class SpectralBasis:
         Stacked coefficient vectors of the eigenfields.
     w_matrix : ndarray, shape (n_boundary, M)
         Stacked boundary functions ``w_j``.
-    pairs : list of DbsEigenpair
     """
 
     def __init__(self, mesh: Mesh, q: np.ndarray, b_matrix, h_matrix, w_matrix):
@@ -183,15 +164,6 @@ class SpectralBasis:
         self.h_matrix = np.asarray(h_matrix, dtype=float)
         self.w_matrix = np.asarray(w_matrix, dtype=float)
         self.boundary_length = mesh.boundary_length
-        self.pairs = [
-            DbsEigenpair(
-                float(self.q[j]),
-                InteriorField(mesh, self.b_matrix[:, j]),
-                InteriorField(mesh, self.h_matrix[:, j]),
-                BoundaryField(mesh, self.w_matrix[:, j]),
-            )
-            for j in range(self.q.size)
-        ]
 
     @property
     def rank(self) -> int:
@@ -383,7 +355,7 @@ def dbs_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") -> SpectralBa
     -------
     SpectralBasis
         Eigenvalues ascending; eigenfields normalized and orthonormal as
-        described on :class:`DbsEigenpair`.
+        described on :class:`SpectralBasis`.
     """
     ops = operators(mesh)
     _check_modes(n_modes, ops.boundary_idx.size - 1, "boundary-node")
@@ -561,16 +533,16 @@ def trace_sobolev_norm(
 
 def basis_to_json_dict(basis: SpectralBasis, domain: str) -> dict:
     """Schema: domain, boundary_length, M, q, b, h, w, mesh_hash."""
-    # Hashed first: the mesh text is built before the float lists exist.
+    # Hashed first: the mesh text is built and freed before any table is formatted.
     digest = mesh_hash(basis.mesh)
     return {
         "domain": domain,
         "boundary_length": basis.boundary_length,
         "M": int(basis.rank),
-        "q": basis.q.tolist(),
-        "b": basis.b_matrix.T.tolist(),
-        "h": basis.h_matrix.T.tolist(),
-        "w": basis.w_matrix.T.tolist(),
+        "q": basis.q,
+        "b": basis.b_matrix.T,
+        "h": basis.h_matrix.T,
+        "w": basis.w_matrix.T,
         "mesh_hash": digest,
     }
 

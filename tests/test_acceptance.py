@@ -245,10 +245,10 @@ class TestCriterion9BasisStructure:
         gw = float(np.max(np.abs(gram_w - np.eye(basis.rank))))
         assert gw <= 1e-8
         worst = 0.0
-        for j, pair in enumerate(basis.pairs):
+        for j in range(basis.rank):
             diff = (
-                pair.h.values[mesh.boundary_nodes]
-                - math.sqrt(basis.q[j] / mesh.boundary_length) * pair.w.values
+                basis.h_matrix[mesh.boundary_nodes, j]
+                - math.sqrt(basis.q[j] / mesh.boundary_length) * basis.w_matrix[:, j]
             )
             worst = max(worst, BoundaryField(mesh, diff).norm_normalized())
         assert worst <= 1e-6

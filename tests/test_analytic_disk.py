@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import jn_zeros, jv
 
+from steklovsvd import analytic_disk
 from steklovsvd.analytic_disk import (
     bessel_j,
     bessel_j_zero,
@@ -61,6 +64,38 @@ class TestBessel:
             bessel_j(-1, 1.0)
         with pytest.raises(ValueError):
             bessel_j_zero(0, 0)
+
+    def test_concurrent_zero_scans_return_the_serial_values(self, monkeypatch):
+        # Four threads scan the same order at once, switching as often as
+        # the interpreter allows; each must get the serial zero and leave
+        # the serial cache, with no zero twice or out of order.
+        monkeypatch.setattr(analytic_disk, "_ZERO_CACHE", {})
+        expected = bessel_j_zero(3, 6)
+        serial_zeros = analytic_disk._ZERO_CACHE[3]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                monkeypatch.setattr(analytic_disk, "_ZERO_CACHE", {})
+                barrier = threading.Barrier(4)
+                results = []
+
+                def scan():
+                    barrier.wait(timeout=30)
+                    results.append(bessel_j_zero(3, 6))
+
+                threads = [threading.Thread(target=scan) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                zeros = analytic_disk._ZERO_CACHE[3]
+                assert results == [expected] * 4
+                assert np.all(np.diff(zeros) > 0)
+                assert zeros == serial_zeros
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDbsModes:

@@ -146,6 +146,17 @@ class TestKernelEvaluation:
         with pytest.raises(OutsideDomainError, match=r"^\(0\.7, 0\.7\) is not a boundary node"):
             poisson_kernel_eval(disk_svd, 5, (0.2, 0.0), (0.7, 0.7))
 
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), (1000.0, 0.0)])
+    def test_boundary_node_tolerance_ignores_translation(self, offset):
+        # The tolerance scales with the mesh's own extent, not with its
+        # distance from the origin.
+        mesh = transform(disk_mesh(1.0, 0.2), offset=offset)
+        svd = PoissonSvd.from_basis(dbs_eigensolve(mesh, 6))
+        z = mesh.vertices[mesh.boundary_nodes[0]]
+        assert np.isfinite(poisson_kernel_eval(svd, None, offset, z))
+        with pytest.raises(OutsideDomainError, match="is not a boundary node"):
+            poisson_kernel_eval(svd, None, offset, z + (0.0, 5e-6))
+
     def test_margin_errors_share_one_text(self, disk_svd):
         # One check serves both kernels: each names the first point inside
         # the margin, and the margin.

@@ -71,15 +71,21 @@ class TestDbsEigensolve:
     def test_trace_flux_coupling_identity(self, disk_mid_basis):
         basis = disk_mid_basis
         mesh = basis.mesh
-        for j, pair in enumerate(basis.pairs):
-            diff = trace(pair.h).values - math.sqrt(basis.q[j] / mesh.boundary_length) * pair.w.values
+        for j in range(basis.rank):
+            diff = basis.h_matrix[mesh.boundary_nodes, j] - math.sqrt(
+                basis.q[j] / mesh.boundary_length
+            ) * basis.w_matrix[:, j]
             assert BoundaryField(mesh, diff).norm_normalized() < 1e-6
 
     def test_flux_energy_is_reciprocal_eigenvalue(self, disk_mid_basis):
-        for j, pair in enumerate(disk_mid_basis.pairs):
-            assert pair.flux.inner_dsigma(pair.flux) * disk_mid_basis.q[j] == pytest.approx(
-                1.0, abs=1e-6
+        basis = disk_mid_basis
+        mesh = basis.mesh
+        for j in range(basis.rank):
+            # The normal flux of b_j is w_j / sqrt(q_j |bdy|).
+            flux = BoundaryField(
+                mesh, basis.w_matrix[:, j] / np.sqrt(basis.q[j] * mesh.boundary_length)
             )
+            assert flux.inner_dsigma(flux) * basis.q[j] == pytest.approx(1.0, abs=1e-6)
 
     def test_radial_mode_fields_match_closed_form(self, disk_mid_basis):
         basis = disk_mid_basis
