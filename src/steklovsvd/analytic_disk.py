@@ -13,18 +13,17 @@ coordinates and all eigenvalues are elementary:
 Bessel functions are implemented here directly (ascending series for small
 argument, downward recurrence with series normalization otherwise) so the
 oracle has no dependency on the code paths it is used to check; zeros are
-found by bracketing plus bisection to 1e-12.  Everything is a pure
-function except :func:`bessel_j_zero`, which caches the zeros it has
-located per order; its scans run one at a time under a module lock, so
-concurrent calls return the serial values.
+found by bracketing plus bisection.  Everything is a pure function: zero
+``m`` of ``J_k`` is the first zero after zero ``m - 1`` (after ``k`` for
+``m = 1``), so its bits depend neither on earlier calls nor on threads.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
-import threading
 from dataclasses import dataclass
 from importlib import resources
 
@@ -114,42 +113,36 @@ def bessel_j(order: int, x) -> float | np.ndarray:
     return sign * _bessel_miller(order, x)
 
 
-_ZERO_CACHE: dict[int, list[float]] = {}
-_ZERO_LOCK = threading.Lock()
+def _zero_after(order: int, start: float) -> float:
+    """First zero of J_order after ``start``, bracketed on a 0.25 grid and bisected to 1e-13."""
+    # Exactly at a zero the residual's sign is arbitrary: start a little past it.
+    x = start + 1e-6
+    f_prev = bessel_j(order, x)
+    while f_prev != 0.0:
+        x_next = x + 0.25
+        f_next = bessel_j(order, x_next)
+        if f_prev * f_next < 0:
+            lo, hi, flo = x, x_next, f_prev
+            while hi - lo > 1e-13:
+                mid = 0.5 * (lo + hi)
+                fmid = bessel_j(order, mid)
+                if flo * fmid <= 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fmid
+            return 0.5 * (lo + hi)
+        x, f_prev = x_next, f_next
+        if x > start + 4.0 * math.pi + 20:
+            raise RuntimeError("bracketing failed to locate the requested Bessel zero")
+    return x
 
 
+@functools.cache
 def bessel_j_zero(order: int, m: int) -> float:
-    """m-th positive zero of J_order, bracketed on a grid then bisected to 1e-12."""
+    """m-th positive zero of J_order: the first zero after zero ``m - 1``, or after ``order``."""
     if m < 1:
         raise ValueError("zero index m must be >= 1")
-    # One scan at a time: each resumes from the cache that the last one left.
-    with _ZERO_LOCK:
-        zeros = _ZERO_CACHE.setdefault(order, [])
-        # Resume a little past the last located zero: exactly at it the sign of
-        # the residual is arbitrary and would create a spurious bracket.
-        x = zeros[-1] + 1e-6 if zeros else max(order, 0) + 1e-6
-        f_prev = bessel_j(order, x)
-        step = 0.25
-        while len(zeros) < m:
-            x_next = x + step
-            f_next = bessel_j(order, x_next)
-            if f_prev == 0.0:
-                zeros.append(x)
-            elif f_prev * f_next < 0:
-                lo, hi = x, x_next
-                flo = f_prev
-                while hi - lo > 1e-13:
-                    mid = 0.5 * (lo + hi)
-                    fmid = bessel_j(order, mid)
-                    if flo * fmid <= 0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fmid
-                zeros.append(0.5 * (lo + hi))
-            x, f_prev = x_next, f_next
-            if x > order + 4.0 * math.pi * (m + 2) + 20:
-                raise RuntimeError("bracketing failed to locate the requested Bessel zero")
-        return zeros[m - 1]
+    return _zero_after(order, float(order) if m == 1 else bessel_j_zero(order, m - 1))
 
 
 # -- closed-form disk modes --------------------------------------------------------

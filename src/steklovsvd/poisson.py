@@ -93,14 +93,12 @@ def _boundary_node_index(svd: PoissonSvd, z) -> int:
 def poisson_kernel_eval(svd: PoissonSvd, m: int | None, x, z) -> float:
     """Truncated Poisson kernel ``P_M(x, z)`` at an interior point and boundary node.
 
-    ``x`` must keep one element diameter from the boundary (the series
-    degrades there); ``z`` must coincide with a boundary node.
+    ``x`` must keep one longest mesh edge from the boundary (the series
+    degrades there); ``z`` must coincide with a boundary node.  The value
+    is the entry of :func:`kernel_slice` at that node, bit for bit.
     """
-    basis = svd.basis
-    m = basis.truncation_rank(m)
-    hx = basis.harmonic_values(x, m)
-    wz = basis.w_matrix[_boundary_node_index(svd, z), :m]
-    return float(np.sum(hx * wz / np.sqrt(svd.boundary_length * basis.q[:m])))
+    _, values = kernel_slice(svd, x, m)
+    return float(values[_boundary_node_index(svd, z)])
 
 
 def kernel_slice(svd: PoissonSvd, x, m: int | None = None):

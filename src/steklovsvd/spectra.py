@@ -319,6 +319,8 @@ def _boundary_spectrum(mesh, n_modes: int, method: str, problem: str, apply):
         # The Gram form is exactly symmetric already, so this is a no-op for it.
         vals, vecs = sla.eigh(0.5 * (f + f.T) / sw[:, None] / sw[None, :])
     elif method == "lanczos":
+        # ARPACK finds at most nb - 1 pairs of an nb x nb operator.
+        _check_modes(n_modes, nb - 1, "Lanczos")
 
         def matvec(y):
             return sw * apply(mesh, BoundaryField(mesh, y / sw)).values

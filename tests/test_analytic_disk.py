@@ -1,12 +1,12 @@
 import math
 import sys
 import threading
+from importlib import resources
 
 import numpy as np
 import pytest
 from scipy.special import jn_zeros, jv
 
-from steklovsvd import analytic_disk
 from steklovsvd.analytic_disk import (
     bessel_j,
     bessel_j_zero,
@@ -65,18 +65,17 @@ class TestBessel:
         with pytest.raises(ValueError):
             bessel_j_zero(0, 0)
 
-    def test_concurrent_zero_scans_return_the_serial_values(self, monkeypatch):
-        # Four threads scan the same order at once, switching as often as
-        # the interpreter allows; each must get the serial zero and leave
-        # the serial cache, with no zero twice or out of order.
-        monkeypatch.setattr(analytic_disk, "_ZERO_CACHE", {})
+    def test_concurrent_zero_scans_return_the_serial_values(self):
+        # Four threads fill an empty memo for the same order at once,
+        # switching as often as the interpreter allows; each must get the
+        # serial zero.
+        bessel_j_zero.cache_clear()
         expected = bessel_j_zero(3, 6)
-        serial_zeros = analytic_disk._ZERO_CACHE[3]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
-                monkeypatch.setattr(analytic_disk, "_ZERO_CACHE", {})
+                bessel_j_zero.cache_clear()
                 barrier = threading.Barrier(4)
                 results = []
 
@@ -90,12 +89,22 @@ class TestBessel:
                 for t in threads:
                     t.join(timeout=30)
                     assert not t.is_alive()
-                zeros = analytic_disk._ZERO_CACHE[3]
                 assert results == [expected] * 4
-                assert np.all(np.diff(zeros) > 0)
-                assert zeros == serial_zeros
         finally:
             sys.setswitchinterval(interval)
+
+    def test_zeros_do_not_depend_on_call_history(self):
+        # Asking for a high zero first must give the same bits as asking in
+        # increasing order, so the rebuilt oracle table matches the packaged
+        # file whichever zeros were requested before.
+        bessel_j_zero.cache_clear()
+        increasing = [[bessel_j_zero(k, m) for m in range(1, 9)] for k in range(9)]
+        bessel_j_zero.cache_clear()
+        for k in range(9):
+            bessel_j_zero(k, 6)
+        packaged = resources.files("steklovsvd").joinpath("data/disk_oracle.csv").read_text()
+        assert oracle_table_csv(build_oracle_table()) == packaged
+        assert [[bessel_j_zero(k, m) for m in range(1, 9)] for k in range(9)] == increasing
 
 
 class TestDbsModes:

@@ -177,6 +177,20 @@ class TestKernelEvaluation:
                 call()
             assert str(info.value) == expected, name
 
+    @pytest.mark.parametrize("domain", ["disk", "pentagon"])
+    def test_point_values_are_the_slice_entries(self, disk_svd, domain):
+        # One contraction serves both: each point value equals the slice
+        # entry at its node bit for bit, as the CSV prints it.
+        if domain == "disk":
+            svd, m, x = disk_svd, 30, (0.3, -0.1)
+        else:
+            mesh = build_polygon_mesh([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)], 0.2)
+            svd, m, x = PoissonSvd.from_basis(dbs_eigensolve(mesh, 12)), 10, (1.0, 1.2)
+        mesh = svd.basis.mesh
+        _, values = kernel_slice(svd, x, m)
+        for i, z in enumerate(mesh.vertices[mesh.boundary_nodes]):
+            assert poisson_kernel_eval(svd, m, x, z) == values[i]
+
     def test_slice_and_csv(self, disk_svd):
         arc, values = kernel_slice(disk_svd, (0.0, 0.0), 10)
         assert arc.shape == values.shape

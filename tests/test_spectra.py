@@ -202,6 +202,16 @@ class TestHarmonicSteklov:
         with pytest.raises(CapacityError):
             harmonic_steklov_eigensolve(disk_coarse, disk_coarse.boundary_nodes.size + 1)
 
+    def test_lanczos_capacity_is_one_below_the_boundary_nodes(self):
+        # ARPACK finds at most nb - 1 pairs; dense (and auto, which picks
+        # dense here) solves for all nb.
+        mesh = disk_mesh(1.0, 0.1)
+        nb = mesh.boundary_nodes.size
+        with pytest.raises(CapacityError, match=f"Lanczos capacity {nb - 1} "):
+            harmonic_steklov_eigensolve(mesh, nb, method="lanczos")
+        for method in ("dense", "auto"):
+            assert len(harmonic_steklov_eigensolve(mesh, nb, method=method)) == nb
+
     def test_lanczos_agrees_with_dense(self, disk_coarse):
         dense = np.array(
             [p.delta for p in harmonic_steklov_eigensolve(disk_coarse, 6, method="dense")]
@@ -307,7 +317,8 @@ class TestMethodChoice:
         with caplog.at_level(logging.DEBUG, logger="steklovsvd"):
             dbs_eigensolve(mesh, 6)
             harmonic_steklov_eigensolve(mesh, 5)
-        messages = [r.getMessage() for r in caplog.records if r.name == "steklovsvd"]
+        # Only the solver's records: the LU pool logs its first use too.
+        messages = [r.getMessage() for r in caplog.records if r.module == "spectra"]
         assert len(messages) == 2
         assert messages[0].startswith("dbs eigensolve of 6 modes")
         assert ": dense by costs, dense " in messages[0]
