@@ -21,6 +21,7 @@ import warnings
 from dataclasses import asdict
 
 import numpy as np
+import orjson
 
 from . import __version__
 from ._serialize import atomic_write_text, dumps_canonical, fmt_float, format_floats
@@ -68,13 +69,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_json_object(path, what) -> dict:
-    """The JSON object in the ``what`` file at ``path``."""
+    """The JSON object in the ``what`` file at ``path``.
+
+    ``orjson`` parses strict JSON to the same correctly rounded floats as
+    ``json``, several times faster.  Only text it refuses goes to ``json``,
+    which also takes ``NaN``, ``Infinity`` and overflowing numbers.  The file
+    is read once, so a pipe works too.
+    """
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            data = orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            data = json.loads(raw.decode())
     except OSError as exc:
         raise InputError(f"cannot read {what} file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{what} file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{what} file must contain a JSON object")

@@ -466,6 +466,26 @@ class TestMeshAndBasisFileErrors:
             f"error: basis file's 'domain' entry {domain!r} {detail}\n"
         )
 
+    @pytest.mark.parametrize(
+        "what, argv",
+        [
+            ("basis", ["kernel", "--basis", "{bad}", "--x", "0,0"]),
+            ("config", ["extend", "--basis", "{basis}", "--config", "{bad}"]),
+        ],
+        ids=["kernel_basis", "extend_config"],
+    )
+    def test_file_that_is_not_utf8_is_named(
+        self, tmp_path, basis_file, capsys, recwarn, what, argv
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"g_const": "\xff"}')
+        out = tmp_path / "out"
+        argv = [a.format(bad=bad, basis=basis_file) for a in argv] + ["--out", out]
+        err = assert_one_input_error(run(argv), capsys, recwarn, out)
+        assert err.startswith(
+            f"error: {what} file is not valid JSON: 'utf-8' codec can't decode byte 0xff"
+        )
+
     def test_outside_point_prints_plain_floats(self, tmp_path, basis_file, capsys):
         out = tmp_path / "s.csv"
         assert run(["kernel", "--basis", basis_file, "--x", "5,5", "--out", out]) == 1
@@ -545,3 +565,22 @@ class TestMalformedBasisFiles:
         out = tmp_path / "out.csv"
         code = run(["kernel", "--basis", bad, "--x", "0,0", "--which", which, "--out", out])
         assert assert_one_input_error(code, capsys, recwarn, out) == f"error: {message}\n"
+
+    def test_overflowing_number_reads_as_infinite(self, tmp_path, basis_file, capsys, recwarn):
+        # Strict parsers refuse 1e400; Python's json reads it as inf.
+        text = basis_file.read_text()
+        q0 = text.split('"q":[', 1)[1].split(",", 1)[0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace(f'"q":[{q0},', '"q":[1e400,', 1))
+        out = tmp_path / "out.csv"
+        code = run(["kernel", "--basis", bad, "--x", "0,0", "--which", "bergman", "--out", out])
+        err = assert_one_input_error(code, capsys, recwarn, out)
+        assert err == "error: basis entry 'q' holds a non-finite value\n"
+
+    def test_M_above_two_to_the_64(self, tmp_path, basis_file, capsys, recwarn):
+        # The error text depends on whether the parser reads M as an integer.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(json.loads(basis_file.read_text()), M=2**64 + 1)))
+        out = tmp_path / "out.csv"
+        code = run(["kernel", "--basis", bad, "--x", "0,0", "--out", out])
+        assert assert_one_input_error(code, capsys, recwarn, out).startswith("error: basis entry ")

@@ -15,6 +15,7 @@ import struct
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from steklovsvd import meshing
 from steklovsvd._serialize import atomic_write_text, dumps_canonical, fmt_float, format_floats
 from steklovsvd.bergman import TruncatedKernel, kernel_grid_csv
-from steklovsvd.cli import main
+from steklovsvd.cli import _read_json_object, main
 from steklovsvd.meshing import (
     Mesh,
     build_polygon_mesh,
@@ -518,3 +519,43 @@ def test_files_written_together_appear_together_or_not_at_all(tmp_path):
     # The failed call changed nothing and left no temporary file.
     assert first.read_text() == "one\n"
     assert sorted(os.listdir(tmp_path)) == ["first.txt", "second.txt"]
+
+
+# -- reading the JSON back ---------------------------------------------------------------
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("domain", ["disk", "pentagon"])
+def test_basis_files_decode_to_the_same_bits_through_orjson_and_json(tmp_path, domain):
+    if domain == "disk":
+        flags = ["--domain", "disk", "--radius", "1", "--h", "0.1", "--modes", "12"]
+    else:
+        corners = tmp_path / "corners.txt"
+        corners.write_text("".join(f"{x} {y}\n" for x, y in PENTAGON))
+        flags = ["--domain", "polygon", "--vertices-file", corners, "--h", "0.2", "--modes", "8"]
+    path = tmp_path / "basis.json"
+    assert main(["dbs", *(str(a) for a in flags), "--out", str(path)]) == 0
+    raw = path.read_bytes()
+    fast, slow = orjson.loads(raw), json.loads(raw.decode())
+    for key in ("q", "b", "h", "w"):
+        assert np.array_equal(_bits(fast[key]), _bits(slow[key])), key
+    assert fast == slow
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("floats") / "v.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finite_floats, max_size=40))
+@example(EDGE_FLOATS)
+def test_formatted_floats_read_back_bit_for_bit(json_path, values):
+    json_path.write_text('{"v": [' + format_floats(values) + "]}")
+    read = _read_json_object(json_path, "basis")["v"]
+    assert np.array_equal(_bits(read), _bits(json.loads(json_path.read_text())["v"]))
+    # '%.17g' writes -0.0 as '-0', which JSON reads as the integer 0.
+    assert np.array_equal(_bits(read), _bits([0.0 if v == 0 else v for v in values]))
