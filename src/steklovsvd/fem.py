@@ -265,6 +265,11 @@ class AssembledOperators:
     def stiffness_ib(self) -> sp.csr_matrix:
         return self.stiffness[self.interior_idx][:, self.boundary_idx]
 
+    @cached_property
+    def stiffness_b(self) -> sp.csr_matrix:
+        """The stiffness matrix's boundary rows: ``K[b] u`` sums each row as ``(K u)[b]`` does."""
+        return self.stiffness[self.boundary_idx]
+
     @property
     def interior_lu(self):
         """Sparse LU of the interior stiffness block, factorized on first use."""
@@ -312,7 +317,7 @@ class AssembledOperators:
     def _extend_identity(self, gram: bool) -> dict[str, np.ndarray]:
         nb = self.boundary_idx.size
         blocks = _column_blocks(nb, _FORM_BLOCK)
-        k_b = self.stiffness[self.boundary_idx]
+        k_b = self.stiffness_b
         if not gram:
             schur = np.empty((nb, nb))
             for cols in blocks:
@@ -376,11 +381,16 @@ class AssembledOperators:
         ``u`` and ``mf = M f`` are shaped as in :meth:`dirichlet_solve`;
         ``mf=None`` means ``f = 0``.
         """
-        r = (self.stiffness @ u)[self.boundary_idx]
+        r = self.stiffness_b @ u
         if mf is not None:
             r += mf[self.boundary_idx]
         w = self.boundary_weights
         return r / (w[:, None] if r.ndim > 1 else w)
+
+    def t_apply(self, g: np.ndarray) -> np.ndarray:
+        """:func:`t_apply` of boundary data ``g``, a vector or one column per field."""
+        mh = self.mass @ self.dirichlet_solve(None, g)
+        return self.boundary_flux(self.dirichlet_solve(mh), mh)
 
 
 _OPERATOR_CACHE: "weakref.WeakKeyDictionary[Mesh, AssembledOperators]" = (
@@ -476,9 +486,7 @@ def t_apply(mesh: Mesh, g: BoundaryField) -> BoundaryField:
     problem satisfy ``t_apply(g) = g / q`` for the corresponding
     eigenvalue ``q``.
     """
-    ops = operators(mesh)
-    mh = ops.mass @ ops.dirichlet_solve(None, g.values)
-    return BoundaryField(mesh, ops.boundary_flux(ops.dirichlet_solve(mh), mh))
+    return BoundaryField(mesh, operators(mesh).t_apply(g.values))
 
 
 def green_identity_residual(mesh: Mesh, u: InteriorField, v: InteriorField, fu, fv) -> float:

@@ -14,6 +14,7 @@ from steklovsvd import (
     harmonic_steklov_eigensolve,
 )
 from steklovsvd.fem import operators
+from steklovsvd.verify import run_suites
 
 PENTAGON = [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)]
 MESHES = {
@@ -45,6 +46,7 @@ def blocked_outputs(make_mesh) -> dict:
     pairs = harmonic_steklov_eigensolve(make_mesh(), 30)
     out["dtn delta"] = np.array([p.delta for p in pairs])
     out["dtn s"] = np.column_stack([p.s.values for p in pairs])
+    out["verify"] = np.array([r.measured for r in run_suites(make_mesh(), ("all",))])
     return out
 
 

@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
-from steklovsvd import build_polygon_mesh, dbs_eigensolve, disk_mesh
-from steklovsvd.fem import BoundaryField
+from steklovsvd import (
+    build_polygon_mesh,
+    dbs_eigensolve,
+    dirichlet_laplacian_eigensolve,
+    disk_mesh,
+)
+from steklovsvd.fem import (
+    BoundaryField,
+    InteriorField,
+    normal_flux,
+    operators,
+    solve_dirichlet_poisson,
+    t_apply,
+)
 from steklovsvd.verify import SUITE_NAMES, run_suites
 
 
@@ -66,3 +78,106 @@ def test_array_identities_equal_per_mode_loops(domain):
     assert {name: measured[name].hex() for name in expected} == {
         name: float(value).hex() for name, value in expected.items()
     }
+
+
+# The checks of ``run_suites(mesh, ("all",), n_modes=12)`` in order, with the
+# allowed value on the disk (h 0.1) and on the pentagon (h 0.2); ``None``
+# where that mesh has no such check.
+CHECKS = [
+    ("mesh.area_quadrature_exact", 3.1363871677682245e-10, 7.500000000000002e-10),
+    ("mesh.perimeter_quadrature_exact", 6.280581593247842e-10, 1.0714776642118867e-09),
+    ("mesh.normals_outward", 1e-300, 1e-300),
+    ("mesh.refine_quadruples_triangles", 0.0, 0.0),
+    ("mesh.refine_grows_disk_boundary", 0.0, None),
+    ("mesh.refine_halves_max_edge", None, 3.0000616820785057e-13),
+    ("solver.linear_solution_exact", 1e-10, 1e-10),
+    ("solver.constant_extension_exact", 1e-10, 1e-10),
+    ("solver.linear_flux_exact", 1e-10, 1e-10),
+    ("solver.zero_data_zero_solution", 0.0, 0.0),
+    ("solver.t_apply_symmetric", 1e-10, 1e-10),
+    ("solver.t_apply_positive", -1e-12, -1e-12),
+    ("solver.green_identity_residual", 1e-08, 4.7198674902492204e-08),
+    ("spectra.q_strictly_positive", 1e-300, 1e-300),
+    ("spectra.q_sorted_ascending", -1e-12, -1e-12),
+    ("spectra.h_gram_identity", 1e-08, 1e-08),
+    ("spectra.w_gram_identity", 1e-08, 1e-08),
+    ("spectra.trace_flux_identity", 1e-06, 1e-06),
+    ("spectra.flux_energy_reciprocal", 1e-06, 1e-06),
+    ("spectra.flux_continuity_bound", 1.00000001, 1.00000001),
+    ("spectra.laplacian_norm_equivalence", 1.00000001, 1.00000001),
+    ("spectra.steklov_first_eigenvalue_zero", 1e-08, 1e-08),
+    ("spectra.steklov_first_mode_constant", 1e-08, 1e-08),
+    ("spectra.trace_norm_parseval", 1e-08, 1e-08),
+    ("spectra.rigid_motion_invariance", 1e-10, 1e-10),
+    ("spectra.scaling_law", 1e-10, 1e-10),
+    ("spectra.disk_multiplicity_pairs", 0.00401100905232124, None),
+    ("bergman.projection_idempotent", 1e-10, 1e-10),
+    ("bergman.residual_orthogonal", 1e-08, 1e-08),
+    ("bergman.pythagoras", 1e-10, 1e-10),
+    ("bergman.contraction", 1.000000000001, 1.000000000001),
+    ("bergman.kernel_gram_psd", -1e-08, -1e-08),
+    ("bergman.projection_separates_dirichlet_modes", 0.1, 0.1),
+    ("poisson.svd_maps_right_to_left", 1e-08, 1e-08),
+    ("poisson.singular_values_nonincreasing", 1e-12, 1e-12),
+    ("poisson.singular_values_decay", 0.35334068653876205, 0.4438144107349924),
+    ("poisson.truncation_bound", 1.000001, 1.000001),
+    ("poisson.single_tail_mode_sharp", 1e-06, 1e-06),
+    ("poisson.truncation_error_monotone", 1e-12, 1e-12),
+]
+
+
+def _sampled_checks_per_sample(mesh, n_modes):
+    """The solver and spectra suites' sampled checks as loops over single samples.
+
+    Draws from the seeded stream in the order ``run_suites(mesh, ("all",))``
+    does: ten boundary pairs ``(g1, g2)``, then fifty sources.
+    """
+    rng = np.random.default_rng(0)
+    nb, n = mesh.boundary_nodes.size, mesh.vertices.shape[0]
+    sym = pos = 0.0
+    for _ in range(10):
+        g1 = BoundaryField(mesh, rng.standard_normal(nb))
+        g2 = BoundaryField(mesh, rng.standard_normal(nb))
+        t1, t2 = t_apply(mesh, g1), t_apply(mesh, g2)
+        scale = g1.norm_dsigma() * g2.norm_dsigma()
+        sym = max(sym, abs(t1.inner_dsigma(g2) - g1.inner_dsigma(t2)) / scale)
+        pos = min(pos, t1.inner_dsigma(g1) / g1.inner_dsigma(g1))
+    q0 = float(dbs_eigensolve(mesh, n_modes).q[0])
+    lam1 = dirichlet_laplacian_eigensolve(mesh, 1)[0].lam
+    stiffness = operators(mesh).stiffness
+    flux_ratio = norm_ratio = 0.0
+    for _ in range(50):
+        f = InteriorField(mesh, rng.standard_normal(n))
+        u = solve_dirichlet_poisson(mesh, f, None)
+        d = normal_flux(mesh, u, f)
+        f_sq = f.inner(f)
+        flux_ratio = max(flux_ratio, d.inner_dsigma(d) * q0 / f_sq)
+        energy = float(u.values @ (stiffness @ u.values)) + f_sq
+        norm_ratio = max(norm_ratio, energy / ((1.0 + 1.0 / lam1) * f_sq))
+    return {
+        "solver.t_apply_symmetric": sym,
+        "solver.t_apply_positive": pos,
+        "spectra.flux_continuity_bound": flux_ratio,
+        "spectra.laplacian_norm_equivalence": norm_ratio,
+    }
+
+
+@pytest.mark.parametrize("domain", ["disk", "pentagon"])
+def test_block_sampled_checks_match_per_sample_loops(domain):
+    mesh = disk_mesh(1.0, 0.1) if domain == "disk" else build_polygon_mesh(PENTAGON, 0.2)
+    results = run_suites(mesh, ("all",), n_modes=12)
+    column = 1 if domain == "disk" else 2
+    expected = [(c[0], c[column]) for c in CHECKS if c[column] is not None]
+    assert [r.name for r in results] == [name for name, _ in expected]
+    for r, (_, allowed) in zip(results, expected):
+        assert r.allowed == pytest.approx(allowed, rel=1e-9, abs=0.0), r.name
+        assert r.passed, r.line()
+
+    reference = _sampled_checks_per_sample(mesh, 12)
+    measured = {r.name: r.measured for r in results}
+    for name in ("spectra.flux_continuity_bound", "spectra.laplacian_norm_equivalence"):
+        assert measured[name] == pytest.approx(reference[name], rel=1e-12, abs=0.0), name
+    assert measured["solver.t_apply_positive"] == reference["solver.t_apply_positive"]
+    # Rounding noise either way: a block of columns sums in another order.
+    assert measured["solver.t_apply_symmetric"] < 1e-15
+    assert reference["solver.t_apply_symmetric"] < 1e-15
