@@ -17,6 +17,12 @@ for every test function ``v``, that is ``(K u + M f)[boundary] / w``: the
 discrete Green-formula flux, superconvergent relative to pointwise
 gradient sampling.  The field-level functions below wrap the two.
 
+The interior block ``A_II`` of the stiffness matrix is factorized once per
+mesh, in nested-dissection order: recursive coordinate bisection of the
+interior nodes, each separator after the two halves it separates.  This
+solve order is private.  Every public array keeps the ascending interior
+order; only the block solves of ``dirichlet_solve`` run in the solve order.
+
 A solve with many right-hand sides is cut into fixed blocks of
 ``_SOLVE_BLOCK`` columns, which run on a private pool of
 ``min(2, usable CPUs)`` threads (the LU solves and BLAS products release
@@ -33,6 +39,7 @@ from __future__ import annotations
 import logging
 import os
 import threading
+import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -149,6 +156,10 @@ _SOLVE_BLOCK = 32
 _FORM_BLOCK = 64
 
 
+# Nested dissection stops splitting groups of at most this many interior nodes.
+_DISSECTION_LEAF = 16
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -195,6 +206,96 @@ def _map_blocks(fn, blocks) -> None:
         pass
 
 
+def _dissection_order(vertices: np.ndarray, stiffness: sp.csr_matrix, interior: np.ndarray):
+    """Nested-dissection order of the ``interior`` nodes, as positions into ``interior``.
+
+    Recursive coordinate bisection, one level of groups at a time with one
+    sort per level: each group of more than ``_DISSECTION_LEAF`` nodes is
+    sorted along the longer side of its bounding box (ties by node index)
+    and split at the median.  The separator is the set of first-half nodes
+    with a stiffness edge into the second half.  The rest of the first
+    half, the second half and the separator are ordered in that order, and
+    the two halves are split in turn, so every separator comes after the
+    nodes it separates.  Leaves and separators keep their sorted order.
+    """
+    ni = interior.size
+    if ni <= _DISSECTION_LEAF:
+        return np.arange(ni)
+    local = np.full(stiffness.shape[0], -1, dtype=np.int32)
+    local[interior] = np.arange(ni)
+    # Each interior-interior edge once, as local (lo, hi) ends.
+    lo_end = np.repeat(local, np.diff(stiffness.indptr))
+    hi_end = local[stiffness.indices]
+    edge = (lo_end >= 0) & (lo_end < hi_end)
+    ei, ej = lo_end[edge], hi_end[edge]
+    del lo_end, hi_end, edge
+    x, y = vertices[interior].T
+    rank_x, rank_y = np.empty(ni, dtype=np.int64), np.empty(ni, dtype=np.int64)
+    rank_x[np.argsort(x, kind="stable")] = np.arange(ni)
+    rank_y[np.argsort(y, kind="stable")] = np.arange(ni)
+    pos = np.empty(ni, dtype=np.int64)
+    upper, alive = np.zeros(ni, dtype=bool), np.zeros(ni, dtype=bool)
+    # The groups still to split, contiguous in ``nodes``: their sizes and
+    # the first position of each in the order.
+    nodes, size, first = np.arange(ni), np.array([ni]), np.zeros(1, dtype=np.int64)
+    while size.size:
+        ends = np.cumsum(size)
+        starts = ends - size
+        g = np.repeat(np.arange(size.size), size)
+        gx, gy = x[nodes], y[nodes]
+        wide = np.maximum.reduceat(gx, starts) - np.minimum.reduceat(gx, starts) >= (
+            np.maximum.reduceat(gy, starts) - np.minimum.reduceat(gy, starts)
+        )
+        nodes = nodes[np.argsort(np.where(wide[g], rank_x[nodes], rank_y[nodes]) + g * ni)]
+        r = np.arange(nodes.size) - starts[g]
+        half = size // 2
+        second = r >= half[g]
+        upper[nodes] = second
+        cross = upper[ei] != upper[ej]
+        on_sep = np.zeros(ni, dtype=bool)
+        on_sep[np.where(upper[ei[cross]], ej[cross], ei[cross])] = True
+        sep = on_sep[nodes]
+        seps = np.cumsum(sep)
+        before = seps[starts] - sep[starts]
+        n_sep = seps[ends - 1] - before
+        seps -= before[g]  # separator nodes so far in the group, this one included
+        pos[nodes] = first[g] + np.where(
+            second, r - n_sep[g], np.where(sep, size[g] - n_sep[g] + seps - 1, r - seps)
+        )
+        halves = np.stack([half - n_sep, size - half], axis=1).ravel()
+        split = halves > _DISSECTION_LEAF
+        go_on = ~sep & split[2 * g + second]
+        # An edge stays if it joins two nodes of one half that is split again.
+        alive[nodes] = go_on
+        stay = ~cross & alive[ei] & alive[ej]
+        ei, ej = ei[stay], ej[stay]
+        # The halves' nodes stay in sorted order, so each half is contiguous.
+        nodes = nodes[go_on]
+        first = np.stack([first, first + half - n_sep], axis=1).ravel()[split]
+        size = halves[split]
+    order = np.empty(ni, dtype=np.int64)
+    order[pos] = np.arange(ni)
+    return order
+
+
+class _OrderedLU:
+    """Sparse LU of ``A_II`` in the solve order, solving in ascending interior order.
+
+    ``factor`` is the SuperLU object of ``A_II[order][:, order]`` and
+    ``nnz`` its stored entries; :meth:`solve` permutes ``b`` into the solve
+    order and the solution back.
+    """
+
+    def __init__(self, factor, order: np.ndarray):
+        self.factor, self.order, self.nnz = factor, order, factor.nnz
+
+    def solve(self, b) -> np.ndarray:
+        y = self.factor.solve(np.asarray(b)[self.order])
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
+
+
 class AssembledOperators:
     """Stiffness, mass and boundary quadrature for one mesh, assembled once.
 
@@ -205,7 +306,13 @@ class AssembledOperators:
 
     * ``interior_lu``, the sparse LU of the interior stiffness block,
       behind :meth:`dirichlet_solve` (every Dirichlet solve and harmonic
-      extension) and the shift-invert Dirichlet eigensolve;
+      extension) and the shift-invert Dirichlet eigensolve.  It factorizes
+      ``A_II`` in nested-dissection order (:func:`_dissection_order`), the
+      solve order, without pivoting (``A_II`` is SPD).  Its ``solve(b)``
+      takes and returns ascending interior order, as ``interior_idx`` and
+      ``stiffness_ib`` have it; only the block solves of
+      :meth:`dirichlet_solve` work in the solve order, with their interior
+      rows and ``K_IB`` permuted once;
     * the ``nb x nb`` Gram and Schur forms of the harmonic extension
       (:meth:`boundary_form`) that the dense DBS and DtN eigensolvers
       read (``nb**2`` floats each, with ``nb`` boundary nodes).
@@ -252,6 +359,7 @@ class AssembledOperators:
         ).tocsr()
         self.mass = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
+        self._vertices = v
         self.interior_idx = mesh.interior_nodes
         self.boundary_idx = mesh.boundary_nodes
         self.boundary_weights = mesh.boundary_weights
@@ -271,14 +379,37 @@ class AssembledOperators:
         return self.stiffness[self.boundary_idx]
 
     @property
-    def interior_lu(self):
+    def interior_lu(self) -> _OrderedLU:
         """Sparse LU of the interior stiffness block, factorized on first use."""
         if self._lu is None:
             with self._lock:
                 if self._lu is None:
-                    a_ii = self.stiffness[self.interior_idx][:, self.interior_idx].tocsc()
-                    self._lu = splu(a_ii)
+                    self._lu = self._factorize()
         return self._lu
+
+    def _factorize(self) -> _OrderedLU:
+        start = time.perf_counter()
+        order = _dissection_order(self._vertices, self.stiffness, self.interior_idx)
+        rows = self.interior_idx[order]
+        ordered = time.perf_counter()
+        a = self.stiffness[rows][:, rows]
+        # Each off-diagonal entry sums at most two triangles' terms, so the
+        # block is exactly symmetric and its CSR arrays are its CSC arrays.
+        a = sp.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+        factor = splu(
+            a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
+        _log.debug(
+            "interior LU of %d nodes: %d factor entries, %.4f s ordering, %.4f s factorizing",
+            rows.size, factor.nnz, ordered - start, time.perf_counter() - ordered,
+        )  # fmt: skip
+        return _OrderedLU(factor, order)
+
+    @cached_property
+    def _solve_rows(self) -> tuple[np.ndarray, sp.csr_matrix]:
+        """The interior rows in the solve order, and ``K_IB`` with its rows in that order."""
+        order = self.interior_lu.order
+        return self.interior_idx[order], self.stiffness_ib[order]
 
     @property
     def interior_nnz(self) -> int:
@@ -354,11 +485,14 @@ class AssembledOperators:
         than multiplied out.  The interior rows solve
         ``A_II u_I = -(M f)_I - K_IB g``, in blocks of ``_SOLVE_BLOCK``
         columns that run concurrently and are solved straight into ``u``.
+        The interior rows are read and written in the LU's solve order, so
+        no block is permuted or copied on its way.
         """
         if mf is None and g is None:
             return np.zeros(self.n_vertices)
         # Read (and built) here, never first in a pool thread.
-        lu, k_ib, rows = self.interior_lu, self.stiffness_ib, self.interior_idx
+        lu = self.interior_lu.factor
+        rows, k_ib = self._solve_rows
         # Boundary and interior nodes partition the vertices: every row is written.
         u = np.empty((self.n_vertices,) + (mf if g is None else g).shape[1:])
         u[self.boundary_idx] = 0.0 if g is None else g

@@ -240,8 +240,11 @@ def _check_modes(m: int, limit: int, what: str):
 # * one column of the identity extension, solved in blocks, costs 0.49-0.65
 #   of a single solve;
 # * the Gram product costs 0.03 columns per unit of n * nb**2 / (LU nonzeros);
-# * the LU (COLAMD) holds 3 ln(n) - 14.5 times the nonzeros of the interior
-#   stiffness block: 8.9x at 2,258 vertices, 17.3x at 35,207.
+# * the LU holds 3 ln(n) - 14.5 times the nonzeros of the interior
+#   stiffness block: 8.9x at 2,258 vertices, 17.3x at 35,207.  This was
+#   fitted to COLAMD's fill; the nested-dissection LU holds 28-39%
+#   less, so the term now overestimates it.  The constants stay as they
+#   are, because a refit flips choices and output bytes with them.
 # Dense is never chosen when the n x nb extension that builds the Gram form
 # (8 n nb bytes) would exceed the memory ceiling, for either problem.
 _BLOCK_COLUMN = 0.55

@@ -282,12 +282,16 @@ def _bergman_suite(
 
     area, _ = boundary_polygon_measures(mesh)
     centroid = mesh.vertices.mean(axis=0)
+    ring = np.array(
+        [[math.cos(t), math.sin(t)] for t in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)]
+    )
     radius = 0.4 * math.sqrt(area / math.pi)
-    pts = [
-        centroid + radius * np.array([math.cos(t), math.sin(t)])
-        for t in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
-    ]
-    eigs = np.linalg.eigvalsh(bg.TruncatedKernel(basis).gram(pts))
+    margin = mesh.max_edge_length
+    if np.min(mesh.distance_to_boundary(centroid + radius * ring)) < margin:
+        # The circle leaves a thin domain's accurate part: shrink it so that
+        # it keeps twice the point margin from the boundary.
+        radius = max(float(mesh.distance_to_boundary(centroid)) - 2.0 * margin, 0.0)
+    eigs = np.linalg.eigvalsh(bg.TruncatedKernel(basis).gram(centroid + radius * ring))
     out.append(_geq("bergman.kernel_gram_psd", float(eigs.min()), -1e-8))
 
     worst = min(bg.bergman_project(p.e, basis).norm_l2() for p in dirichlet)

@@ -225,6 +225,16 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         assert all(check["passed"] for check in report["checks"])
 
+    @pytest.mark.parametrize("h", ["0.1", "0.05"])
+    def test_all_suites_pass_on_a_thin_rectangle(self, tmp_path, capsys, h):
+        # A circle of radius 0.4 sqrt(area / pi) about the centroid leaves
+        # this 6:1 rectangle, so the bergman suite shrinks it to fit.
+        verts = tmp_path / "rectangle.txt"
+        verts.write_text("0 0\n6 0\n6 1\n0 1\n")
+        code = run(["verify", "--suite", "all", "--domain", "polygon",
+                    "--vertices-file", verts, "--h", h])
+        assert code == 0, capsys.readouterr().out
+
     def test_single_suite_selection(self, capsys):
         code = run(["verify", "--suite", "mesh,solver", "--domain", "disk", "--h", "0.15"])
         assert code == 0

@@ -1,12 +1,25 @@
 import gc
 import importlib
+import logging
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from steklovsvd import build_polygon_mesh, disk_mesh, fem, refine, transform
+from scipy.sparse.linalg import splu
+
+from steklovsvd import (
+    Mesh,
+    build_polygon_mesh,
+    disk_mesh,
+    fem,
+    read_mesh_text,
+    refine,
+    transform,
+    write_mesh_text,
+)
 from steklovsvd.fem import (
     BoundaryField,
     InteriorField,
@@ -333,3 +346,101 @@ class TestOperatorCache:
         gc.collect()
         assert ref() is None
         assert len(fem._OPERATOR_CACHE) == cached - 1
+
+
+PENTAGON = [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)]
+RECTANGLE = [(0, 0), (6, 0), (6, 1), (0, 1)]
+FILL_MESHES = {
+    "disk": lambda: disk_mesh(1.0, 0.05),
+    "pentagon": lambda: build_polygon_mesh(PENTAGON, 0.1),
+    "rectangle": lambda: build_polygon_mesh(RECTANGLE, 0.05),
+    "refined_disk_read_back": lambda: read_mesh_text(write_mesh_text(refine(disk_mesh(1.0, 0.1)))),
+}
+
+
+def _colamd_lu(ops):
+    """The interior LU as it was factorized before nested dissection: COLAMD, ascending order."""
+    return splu(ops.stiffness[ops.interior_idx][:, ops.interior_idx].tocsc())
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("name", sorted(FILL_MESHES))
+    def test_order_is_a_repeatable_permutation(self, name):
+        first, second = (operators(FILL_MESHES[name]()).interior_lu for _ in range(2))
+        ni = first.factor.shape[0]
+        assert np.array_equal(np.sort(first.order), np.arange(ni))
+        assert np.array_equal(first.order, second.order)
+
+    @pytest.mark.parametrize("name", sorted(FILL_MESHES))
+    def test_less_fill_than_colamd(self, name):
+        ops = operators(FILL_MESHES[name]())
+        assert ops.interior_lu.nnz < _colamd_lu(ops).nnz
+
+    @pytest.mark.parametrize("name", sorted(FILL_MESHES))
+    def test_solve_matches_colamd_in_ascending_order(self, name):
+        ops = operators(FILL_MESHES[name]())
+        reference = _colamd_lu(ops)
+        rng = np.random.default_rng(5)
+        for b in rng.standard_normal(ops.interior_idx.size), rng.standard_normal(
+            (ops.interior_idx.size, 40)
+        ):
+            expected = reference.solve(b)
+            got = ops.interior_lu.solve(b)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            Mesh(
+                np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]], dtype=float),
+                np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]),
+            ),
+            disk_mesh(1.0, 0.4),
+        ],
+        ids=["one_interior_node", "below_one_leaf"],
+    )
+    def test_small_meshes_solve(self, mesh):
+        ops = operators(mesh)
+        assert ops.interior_idx.size <= fem._DISSECTION_LEAF
+        a_ii = ops.stiffness[ops.interior_idx][:, ops.interior_idx].toarray()
+        b = np.arange(1.0, ops.interior_idx.size + 1)
+        np.testing.assert_allclose(ops.interior_lu.solve(b), np.linalg.solve(a_ii, b), rtol=1e-12)
+        # The block path of dirichlet_solve agrees with the ascending-order solve.
+        g = np.linspace(-1.0, 1.0, ops.boundary_idx.size)
+        u = ops.dirichlet_solve(None, g)
+        np.testing.assert_allclose(
+            u[ops.interior_idx], ops.interior_lu.solve(-(ops.stiffness_ib @ g)), rtol=1e-12
+        )
+
+    def test_block_solves_copy_no_permuted_block(self, monkeypatch):
+        # One worker, so one block is in flight.  Then the peak is the result
+        # u plus one block's right-hand side and solution: 1.44 MB of traced
+        # allocations on the COLAMD code, which solved in ascending order.  A
+        # permuted copy of a block adds another 0.34 MB.
+        monkeypatch.setattr(fem, "_WORKERS", 1)
+        mesh = disk_mesh(1.0, 0.05)
+        ops = operators(mesh)
+        g = np.random.default_rng(6).standard_normal((mesh.boundary_nodes.size, 64))
+        ops.extend_boundary_columns(g)  # the LU and the permuted K_IB, built once
+        block = ops.interior_idx.size * fem._SOLVE_BLOCK * 8
+        tracemalloc.start()
+        try:
+            u = ops.extend_boundary_columns(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= u.nbytes + 2 * block + 64 * 1024
+
+    def test_factorization_is_logged_at_debug(self, caplog):
+        ops = operators(disk_mesh(1.0, 0.1))
+        with caplog.at_level(logging.DEBUG, logger="steklovsvd"):
+            lu = ops.interior_lu
+            ops.extend_boundary_columns(np.eye(ops.boundary_idx.size)[:, :3])
+        records = [r for r in caplog.records if r.getMessage().startswith("interior LU of")]
+        assert len(records) == 1
+        record = records[0]
+        assert record.name == "steklovsvd" and record.levelno == logging.DEBUG
+        # Formatted lazily: node count, factor entries, ordering and factorizing seconds.
+        assert record.args[:2] == (ops.interior_idx.size, lu.nnz)
+        assert all(seconds >= 0.0 for seconds in record.args[2:])
