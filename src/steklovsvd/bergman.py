@@ -183,5 +183,5 @@ def kernel_grid_csv(basis: SpectralBasis, x, m: int | None = None) -> str:
     """CSV ``x,y,value`` of the truncated kernel slice ``R_M(x, .)`` on the vertices."""
     kernel = TruncatedKernel(basis, m)
     values = kernel.values_on_vertices(x)
-    rows = np.column_stack([basis.mesh.vertices, values]).tolist()
+    rows = np.column_stack([basis.mesh.vertices, values])
     return "x,y,value\n" + format_floats(rows, ",", "\n") + "\n"

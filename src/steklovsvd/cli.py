@@ -220,7 +220,7 @@ def _domain_mesh(args) -> tuple[Mesh, str]:
     if pts.shape[1] != 2:
         raise InputError("vertices file must contain two columns (x y)")
     mesh = build_polygon_mesh(pts, args.h)
-    packed = format_floats(pts.tolist(), " ", ",")
+    packed = format_floats(pts, " ", ",")
     return mesh, f"polygon;h={fmt_float(args.h)};vertices={packed}"
 
 

@@ -26,14 +26,13 @@ midpoints of disk meshes are projected back onto the circle.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from ._serialize import fill_template
+from ._serialize import format_floats
 from .errors import OutsideDomainError
 
 __all__ = [
@@ -49,7 +48,7 @@ __all__ = [
 ]
 
 
-# Rows of mesh text formatted per ``%`` call.
+# Triangle rows of mesh text formatted per ``%`` call.
 _TEXT_CHUNK = 512
 
 
@@ -285,16 +284,14 @@ class Mesh:
     def _text(self) -> str:
         """Canonical text of :func:`write_mesh_text`, built once: the arrays are read-only.
 
-        Vertex and triangle lines are formatted ``_TEXT_CHUNK`` rows per
-        ``%`` call, which bounds the Python objects alive at once.
+        Vertex lines are one ``x y flag`` float table (``%.17g`` writes the
+        flags 0.0 and 1.0 as ``0`` and ``1``); triangle lines are formatted
+        ``_TEXT_CHUNK`` rows per ``%`` call, which bounds the Python objects
+        alive at once.
         """
-        v, t, flags = self.vertices, self.triangles, self.is_boundary.astype(int)
-        parts = [f"nodes {v.shape[0]}\n"]
-        for a in range(0, v.shape[0], _TEXT_CHUNK):
-            rows = slice(a, a + _TEXT_CHUNK)
-            x, y = v[rows].T.tolist()
-            values = tuple(itertools.chain.from_iterable(zip(x, y, flags[rows].tolist())))
-            parts.append(fill_template("%.17g %.17g %d\n" * len(x), values))
+        v, t = self.vertices, self.triangles
+        table = np.column_stack([v, self.is_boundary])
+        parts = [f"nodes {v.shape[0]}\n", format_floats(table, " ", "\n"), "\n"]
         parts.append(f"triangles {t.shape[0]}\n")
         for a in range(0, t.shape[0], _TEXT_CHUNK):
             chunk = t[a : a + _TEXT_CHUNK]

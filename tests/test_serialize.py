@@ -13,6 +13,7 @@ import os
 import stat
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import orjson
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steklovsvd import meshing
+from steklovsvd import _serialize, meshing
 from steklovsvd._serialize import atomic_write_text, dumps_canonical, fmt_float, format_floats
 from steklovsvd.bergman import TruncatedKernel, kernel_grid_csv
 from steklovsvd.cli import _read_json_object, main
@@ -376,6 +377,154 @@ def test_rows_with_non_float_items_keep_per_element_rendering(odd, k, j):
     table[k][j] = odd
     for payload in (table, [tuple(row) for row in table], {"m": table}):
         assert dumps_canonical(payload) == ref_dumps_canonical(payload)
+
+
+# -- large float64 arrays ------------------------------------------------------------
+
+CUTOFF = _serialize._ARRAY_MIN
+
+
+def ref_array(arr, sep, row_sep=None) -> str:
+    if arr.ndim == 1:
+        return sep.join(ref_fmt_float(v) for v in arr.tolist())
+    return ref_table(arr.tolist(), sep, row_sep)
+
+
+def _bulk(rng, n: int) -> np.ndarray:
+    """``n`` finite float64 values: random bit patterns, decimal-looking values
+    across the fixed/exponent switches, short decimals, integers and ties."""
+    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+    bits[~np.isfinite(bits)] = 0.5
+    scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, size=n)
+    scale = 10.0 ** rng.integers(0, 6, size=n)
+    short = np.round(rng.standard_normal(n) * scale) / scale
+    integers = rng.integers(-(2**53), 2**53, size=n).astype(float)
+    ties = (10**15 + rng.integers(0, 10**15, size=n)) + rng.choice([0.25, 0.75], size=n)
+    pick = rng.integers(0, 5, size=n)
+    return np.choose(pick, [bits, scaled, short, integers, ties])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.lists(finite_floats, max_size=40),
+    cols=st.integers(1, 300),
+    layout=st.sampled_from(["1d", "c", "f"]),
+)
+def test_large_arrays_match_the_per_element_reference(seed, extra, cols, layout):
+    rng = np.random.default_rng(seed)
+    rows = -(-CUTOFF // cols) + int(rng.integers(0, 3000 // cols + 1))
+    values = _bulk(rng, rows * cols)
+    spots = rng.choice(values.size, size=min(len(extra), values.size), replace=False)
+    values[spots] = extra[: spots.size]
+    if layout == "1d":
+        assert format_floats(values) == ref_array(values, ",")
+        assert format_floats(values, " ") == ref_array(values, " ")
+        return
+    table = values.reshape(rows, cols) if layout == "c" else values.reshape(cols, rows).T
+    assert format_floats(table, ",", "],[") == ref_array(table, ",", "],[")
+    assert format_floats(table, " ", "\n") == ref_array(table, " ", "\n")
+    assert dumps_canonical({"m": table}) == ref_dumps_canonical({"m": table})
+
+
+FIXED_CASES = {
+    # m + 0.25 and m + 0.75 for 16-digit m are exact ties: their 18th
+    # significant digit is a 5 with nothing after it, so %.17g rounds half
+    # to even (1234567890123456.75 rounds up, .25 down).
+    "ties": [m + f for m in (1234567890123456, 10**15, 2**51 - 1) for f in (0.25, 0.75)],
+    # Each power of ten, its neighbours and 10.0 ** k, which can lie an
+    # ulp or two off; rounding some of them carries to a power of ten.
+    "powers_of_ten": [
+        v
+        for k in range(-300, 301)
+        for p in (float(f"1e{k}"),)
+        for v in (p, np.nextafter(p, 0.0), np.nextafter(p, math.inf), -p, 10.0**k)
+    ],
+    "extremes": [
+        5e-324, -5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308,
+        0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308, 1e-270, 1e270,
+        np.nextafter(1e-270, 0.0), np.nextafter(1e270, math.inf),
+    ],  # fmt: skip
+    "notation_switches": [
+        1e-5, 9.9999999999999991e-06, 0.0001, np.nextafter(0.0001, 0.0),
+        0.000099999999999999995, 0.00012345678901234567, 1.2345678901234567e-05,
+        1e16, 9999999999999998.0, 9999999999999999.0, 12345678901234568.0,
+        99999999999999984.0, 1e17, 123456789012345680.0, 1.0, 10.0, 0.1, 0.5,
+    ],  # fmt: skip
+}
+
+
+@pytest.mark.parametrize("case", FIXED_CASES)
+def test_fixed_cases_match_the_per_element_reference(case):
+    values = np.array(FIXED_CASES[case], dtype=float)
+    padded = np.resize(values, max(CUTOFF, values.size))
+    assert format_floats(padded) == ref_array(padded, ",")
+    table = np.resize(values, (max(CUTOFF, values.size) // 4 + 1, 4))
+    assert format_floats(table, ",", "\n") == ref_array(table, ",", "\n")
+    # Alone in an array, so that no other value sets off a second pass.
+    for v in values:
+        assert format_floats(np.full(CUTOFF, v)) == ",".join([ref_fmt_float(v)] * CUTOFF)
+
+
+def test_power_table_is_exact():
+    hi, lo = _serialize._POWERS[:2]
+    for i, p in enumerate(range(_serialize._POW_LOW, _serialize._POW_LOW + hi.size)):
+        exact = Fraction(10) ** p
+        assert hi[i] == float(exact)
+        assert lo[i] == float(exact - Fraction(hi[i]))
+
+
+@pytest.mark.parametrize("n", [CUTOFF - 1, CUTOFF, CUTOFF + 1])
+def test_lengths_around_the_cutoff(monkeypatch, n):
+    calls = []
+    real = _serialize._format_array
+    monkeypatch.setattr(_serialize, "_format_array", lambda *a: calls.append(1) or real(*a))
+    values = _bulk(np.random.default_rng(n), n)
+    assert format_floats(values) == ref_array(values, ",")
+    table = np.resize(values, (n, 1))
+    assert format_floats(table, ",", "],[") == ref_array(table, ",", "],[")
+    assert len(calls) == (2 if n >= CUTOFF else 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("layout", ["1d", "c", "f"])
+def test_non_finite_value_deep_in_a_large_array_raises_the_reference_message(bad, layout):
+    values = _bulk(np.random.default_rng(3), 120 * 100)
+    # Row-major positions 9,000 (block 3) and 11,000; the first is named.
+    values[9000] = bad
+    values[11000] = math.inf if math.isnan(bad) else math.nan
+    table = {
+        "1d": values,
+        "c": values.reshape(120, 100),
+        "f": np.asfortranarray(values.reshape(120, 100)),
+    }[layout]
+    with pytest.raises(ValueError) as ref_exc:
+        ref_dumps_canonical(table)
+    for call in (lambda: dumps_canonical(table), lambda: format_floats(table, ",", "\n")):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == str(ref_exc.value)
+
+
+def test_dumps_canonical_peak_memory_is_bounded():
+    # A 60-mode basis payload at h 0.04: 280,380 floats.  The parent's one
+    # ``%`` call per matrix peaked at 2.13 times the text traced; formatting
+    # whole matrices in numpy would hold ~150 bytes per value, over 20 MB.
+    rng = np.random.default_rng(2024)
+    payload = {
+        "q": np.sort(rng.random(60)),
+        "b": rng.standard_normal((2258, 60)).T,
+        "h": rng.standard_normal((2258, 60)).T,
+        "w": rng.standard_normal((157, 60)).T,
+    }
+    dumps_canonical(payload)
+    tracemalloc.start()
+    try:
+        text = dumps_canonical(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * len(text)
 
 
 PENTAGON = [(0.0, 0.0), (2.0, 0.0), (3.0, 2.0), (1.0, 3.0), (-1.0, 1.0)]
