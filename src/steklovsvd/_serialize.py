@@ -1,16 +1,22 @@
 """Deterministic output helpers: float formatting, canonical JSON, atomic writes.
 
 All floats are rendered with 17 significant digits (``%.17g``) so identical
-inputs produce byte-identical files; :func:`format_floats` is the one
-routine that turns floats into text.  It formats a float64 table (a JSON
-matrix, a CSV, the mesh's vertex lines) as whole numpy arrays, exactly:
-each value's digits come from an error-free product, and a value whose
-rounding is too close to call goes to ``%`` itself, as do small tables.
-In canonical JSON a float table is a float64 ndarray of one or two
-dimensions; lists, tuples and other arrays are written element by element,
-with the same bytes.  Writes go through a temporary file in the target
-directory followed by an atomic rename; files written together appear
-together or not at all.
+inputs produce byte-identical files.  :func:`iter_floats` is the one
+routine that turns floats into text, and :func:`iter_canonical` the one
+that turns a payload into JSON; both yield ASCII ``bytes`` parts, and
+:func:`format_floats` and :func:`dumps_canonical` join those parts.  A
+float64 table (a JSON matrix, a CSV, the mesh's vertex lines) is formatted
+as numpy arrays of at most ``_BLOCK`` values, exactly: each value's digits
+come from an error-free product, and a value whose rounding is too close
+to call goes to ``%`` itself, as do small tables.  In canonical JSON a
+float table is a float64 ndarray of one or two dimensions; lists, tuples
+and other arrays are written element by element, with the same bytes.
+
+Writes go through a temporary file in the target directory followed by an
+atomic rename; files written together appear together or not at all.
+:func:`atomic_write_text` writes each part as it arrives, so writing a
+payload holds its arrays and one block's text, never the whole file, and
+the file's bytes are exactly ``dumps_canonical(obj)``.
 """
 
 from __future__ import annotations
@@ -148,8 +154,10 @@ def _scaled(a, a_head, a_tail, x):
 def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``|v|`` as ``n * 10**(x - 16)``, ``n`` its 17 significant digits
     rounded to nearest as ``%.17g`` rounds them, and whether ``n`` and
-    ``x`` are exact (otherwise the ``%`` call renders the value)."""
+    ``x`` are exact (otherwise the ``%`` call renders the value).  A zero
+    is exact, with ``n = 0`` and ``x = 0``: its text is the single digit."""
     a = np.abs(v)
+    zero = a == 0
     exact = (a > 1e-270) & (a < 1e270)
     a[~exact] = 1.0
     x = np.floor(np.log10(a)).astype(np.int64)
@@ -171,7 +179,9 @@ def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     carry = n == 10**17
     n[carry] = 10**16
     x += carry
-    return n, x, exact
+    # The placeholder 1.0 gave each zero x = 0; its digits are all zero.
+    n[zero] = 0
+    return n, x, exact | zero
 
 
 def _text_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,14 +220,15 @@ def _text_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     del head, carry
     digits |= _POINTS.take(point, axis=1)
     prefix = _PREFIXES.take(np.where(fixed & (x < 0), -x, 0), axis=1)
-    rows[0] = prefix[0] + (v < 0) * 45
+    rows[0] = prefix[0] + np.signbit(v) * 45
     rows[1] |= prefix[1]
     rows[6:] = _EXPONENTS.take(np.where(fixed, -1, x + 300), axis=1)
     return rows, exact
 
 
-def _format_array(table: np.ndarray, sep: bytes, row_sep: bytes) -> str:
-    """The ``%.17g`` text of a float64 array, ``_BLOCK`` values at a time.
+def _format_array(table: np.ndarray, sep: bytes, row_sep: bytes):
+    """The ``%.17g`` text of a float64 array as ASCII bytes, one part per
+    ``_BLOCK`` values.
 
     Each value's text, and the separator after it, is written into a fixed
     row of bytes, NUL where a field is empty; dropping the NULs gives the
@@ -225,7 +236,6 @@ def _format_array(table: np.ndarray, sep: bytes, row_sep: bytes) -> str:
     """
     width = table.shape[-1]
     sep, row_sep = (int.from_bytes(s, "little") << 8 for s in (sep, row_sep))
-    parts = []
     for start in range(0, table.size, _BLOCK):
         v = table.flat[start : start + _BLOCK]
         rows, exact = _text_rows(v)
@@ -242,54 +252,56 @@ def _format_array(table: np.ndarray, sep: bytes, row_sep: bytes) -> str:
             rows[:6, slow] = chars.T
             rows[6, slow] = 0
             rows[7, slow] &= ~np.uint32(0xFF)
-        parts.append(rows.T.tobytes().translate(None, b"\0").decode())
-    return "".join(parts)
+        yield rows.T.tobytes().translate(None, b"\0")
 
 
-def format_floats(rows, sep: str = ",", row_sep: str | None = None) -> str:
-    """The ``%.17g`` renderings of a float table, byte for byte.
+def iter_floats(rows, sep: str = ",", row_sep: str | None = None):
+    """The ``%.17g`` renderings of a float table as ASCII bytes parts.
 
     ``rows`` is a float64 array (1-D, or 2-D with ``row_sep``) or a sequence
     of float rows, which may be ragged: values join with ``sep`` and rows
     with ``row_sep``.  Without ``row_sep``, ``rows`` is one flat row.
 
     A float64 array of at least ``_ARRAY_MIN`` values is formatted in
-    numpy, ``_BLOCK`` values at a time: each value's 17 digits are the
+    numpy, one part per ``_BLOCK`` values: each value's 17 digits are the
     nearest integer to ``|x| 10**(16 - X)``, formed as an exact double-double
-    product, and laid out by ``%g``'s rule for its exponent X.  A value
-    whose scaled fraction lies within ``_TIE_GUARD`` of one half, a zero, a
-    non-finite value and one outside ``1e-270 < |x| < 1e270`` are rendered by
-    ``%`` instead, so no rounding is guessed.  Smaller tables, sequences and
-    separators longer than three bytes take one ``%`` call.  Raises ``ValueError`` naming the first
-    non-finite value in row-major order.
+    product, and laid out by ``%g``'s rule for its exponent X; a zero is
+    ``0`` or ``-0``.  A value whose scaled fraction lies within
+    ``_TIE_GUARD`` of one half, a non-finite value and one outside
+    ``1e-270 < |x| < 1e270`` are rendered by ``%`` instead, so no rounding
+    is guessed.  Smaller tables, sequences and separators longer than three
+    bytes take one ``%`` call, one part.  Raises ``ValueError`` naming the
+    first non-finite value in row-major order, once the parts before it
+    have been yielded.
     """
     if isinstance(rows, np.ndarray):
         seps = (sep.encode(), (sep if row_sep is None else row_sep).encode())
         short = all(len(s) <= 3 and b"\0" not in s for s in seps)
         if rows.dtype == np.float64 and rows.size >= _ARRAY_MIN and short:
-            return _format_array(rows, *seps)
+            yield from _format_array(rows, *seps)
+            return
         rows = rows.tolist()
     if row_sep is None:
         rows, row_sep = (rows,), ""
     template = row_sep.join(sep.join(("%.17g",) * len(r)) for r in rows)
-    return _fill_template(template, tuple(itertools.chain.from_iterable(rows)))
+    yield _fill_template(template, tuple(itertools.chain.from_iterable(rows))).encode()
+
+
+def decode_parts(parts) -> str:
+    """The text of an iterable of bytes parts, joined."""
+    return b"".join(parts).decode()
+
+
+def format_floats(rows, sep: str = ",", row_sep: str | None = None) -> str:
+    """The text of :func:`iter_floats`: ``%.17g`` renderings, byte for byte."""
+    return decode_parts(iter_floats(rows, sep, row_sep))
 
 
 def fmt_float(x: float) -> str:
     return format_floats((float(x),))
 
 
-def _canonical(obj):
-    if isinstance(obj, dict):
-        return "{" + ",".join(f"{json.dumps(str(k))}:{_canonical(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim == 1:
-            return "[" + format_floats(obj) + "]"
-        if obj.dtype == np.float64 and obj.ndim == 2 and obj.shape[0]:
-            return "[[" + format_floats(obj, ",", "],[") + "]]"
-        return _canonical(obj.tolist())
+def _scalar(obj) -> str:
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -303,26 +315,69 @@ def _canonical(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _canonical(obj):
+    if isinstance(obj, dict):
+        yield b"{"
+        for i, (k, v) in enumerate(obj.items()):
+            yield b"," * (i > 0) + json.dumps(str(k)).encode() + b":"
+            yield from _canonical(v)
+        yield b"}"
+    elif isinstance(obj, (list, tuple)):
+        yield b"["
+        for i, v in enumerate(obj):
+            if i:
+                yield b","
+            yield from _canonical(v)
+        yield b"]"
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size:
+        yield b"[" * obj.ndim
+        yield from iter_floats(obj, ",", "],[" if obj.ndim == 2 else None)
+        yield b"]" * obj.ndim
+    elif isinstance(obj, np.ndarray):
+        yield from _canonical(obj.tolist())
+    else:
+        yield _scalar(obj).encode()
+
+
+def iter_csv(header: str, table: np.ndarray):
+    """A CSV file as bytes parts: the ``header`` line, then one line per row of ``table``."""
+    yield header.encode() + b"\n"
+    yield from iter_floats(table, ",", "\n")
+    yield b"\n"
+
+
+def iter_canonical(obj):
+    """The bytes of :func:`dumps_canonical` as parts: a float table yields one
+    part per ``_BLOCK`` values, so the parts never hold the whole text."""
+    yield from _canonical(obj)
+    yield b"\n"
+
+
 def dumps_canonical(obj) -> str:
     """Compact JSON with fixed key order and 17-significant-digit floats."""
-    return _canonical(obj) + "\n"
+    return decode_parts(iter_canonical(obj))
 
 
-def atomic_write_text(path: str, text: str, *more: tuple[str, str]):
+def atomic_write_text(path: str, text, *more: tuple):
     """Write ``text`` to ``path``, and each further ``(path, text)`` pair, all or none.
 
-    Each text goes to a sibling temporary file with the mode ``open`` would
-    give the target; the renames start only once all are written, so a
-    failed write leaves no file behind.  An ``OSError`` names its output.
+    A text is a ``str`` or an iterable of ``str`` and ``bytes`` parts, such
+    as :func:`iter_canonical`; each part is written as it arrives, a ``str``
+    as UTF-8.  Each text goes to a sibling temporary file with the mode
+    ``open`` would give the target; the renames start only once all are
+    written, so a failed write, or an exception from a part's iterable,
+    leaves no file behind and every target as it was.  An ``OSError``
+    names its output.
     """
     outputs = ((path, text), *more)
     staged = []
     try:
         for target, content in outputs:
             directory = os.path.dirname(os.path.abspath(target))
-            with open(os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part"), "x") as fh:
+            with open(os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part"), "xb") as fh:
                 staged.append(fh.name)
-                fh.write(content)
+                for part in (content,) if isinstance(content, str) else content:
+                    fh.write(part.encode() if isinstance(part, str) else part)
         for tmp, (target, _) in zip(staged, outputs):
             os.replace(tmp, target)
     except OSError as exc:

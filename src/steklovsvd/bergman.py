@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._serialize import format_floats
+from ._serialize import decode_parts, iter_csv
 from .errors import CapacityError, TruncationWarning
 from .fem import BoundaryField, InteriorField, operators
 from .spectra import SpectralBasis
@@ -41,6 +41,7 @@ __all__ = [
     "biharmonic_potential",
     "neumann_biharmonic_extension",
     "harmonic_trace",
+    "iter_kernel_grid_csv",
     "kernel_grid_csv",
 ]
 
@@ -179,9 +180,13 @@ def harmonic_trace(k_coeffs, basis: SpectralBasis) -> BoundaryField:
     return BoundaryField(basis.mesh, basis.w_matrix[:, :k] @ weights)
 
 
+def iter_kernel_grid_csv(basis: SpectralBasis, x, m: int | None = None):
+    """CSV ``x,y,value`` of the truncated kernel slice ``R_M(x, .)`` on the
+    vertices, as bytes parts; the slice is computed before this returns."""
+    values = TruncatedKernel(basis, m).values_on_vertices(x)
+    return iter_csv("x,y,value", np.column_stack([basis.mesh.vertices, values]))
+
+
 def kernel_grid_csv(basis: SpectralBasis, x, m: int | None = None) -> str:
-    """CSV ``x,y,value`` of the truncated kernel slice ``R_M(x, .)`` on the vertices."""
-    kernel = TruncatedKernel(basis, m)
-    values = kernel.values_on_vertices(x)
-    rows = np.column_stack([basis.mesh.vertices, values])
-    return "x,y,value\n" + format_floats(rows, ",", "\n") + "\n"
+    """The text of :func:`iter_kernel_grid_csv`."""
+    return decode_parts(iter_kernel_grid_csv(basis, x, m))

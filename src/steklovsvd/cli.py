@@ -24,8 +24,8 @@ import numpy as np
 import orjson
 
 from . import __version__
-from ._serialize import atomic_write_text, dumps_canonical, fmt_float, format_floats
-from .bergman import kernel_grid_csv
+from ._serialize import atomic_write_text, fmt_float, format_floats, iter_canonical
+from .bergman import iter_kernel_grid_csv
 from .errors import IterationLimitError, OutsideDomainError
 from .fem import BoundaryField, InteriorField
 from .meshing import (
@@ -40,7 +40,7 @@ from .poisson import (
     PoissonSvd,
     extend_harmonic_svd,
     extension_norm,
-    kernel_slice_csv,
+    iter_kernel_slice_csv,
     truncation_error_report,
 )
 from .spectra import (
@@ -301,9 +301,11 @@ def _field_data(mesh, kind, path, const):
 # -- command handlers ----------------------------------------------------------------
 
 
-def _write(path, text, *more):
+def _write(path, parts, *more):
+    """Write ``parts`` (and each further ``(path, parts)`` pair) all or none;
+    a part that fails to format leaves every target as it was."""
     try:
-        atomic_write_text(path, text, *more)
+        atomic_write_text(path, parts, *more)
     except OSError as exc:
         raise InputError(f"cannot write {exc.filename}: {exc.strerror or exc}") from exc
 
@@ -355,10 +357,11 @@ def _cmd_eigen(args) -> int:
     solve, payload = _EIGEN_COMMANDS[args.command]
     result = solve(mesh, args.modes)
     # Each builder hashes the mesh before it stacks its arrays, so the mesh
-    # text is built while no stacked copy is alive; no name holds the payload.
-    text = dumps_canonical(payload(mesh, descriptor, result))
+    # text is built while no stacked copy is alive.  The parts are formatted
+    # as the file is written: one block's text is alive at a time.
+    parts = iter_canonical(payload(mesh, descriptor, result))
     mesh_output = [(args.mesh_out, write_mesh_text(mesh))] if args.mesh_out else []
-    _write(args.out, text, *mesh_output)
+    _write(args.out, parts, *mesh_output)
     return 0
 
 
@@ -366,10 +369,10 @@ def _cmd_kernel(args) -> int:
     basis = _load_basis(args)
     point = _parse_point(args.x)
     if args.which == "poisson":
-        csv_text = kernel_slice_csv(PoissonSvd.from_basis(basis), point, args.modes)
+        parts = iter_kernel_slice_csv(PoissonSvd.from_basis(basis), point, args.modes)
     else:
-        csv_text = kernel_grid_csv(basis, point, args.modes)
-    _write(args.out, csv_text)
+        parts = iter_kernel_grid_csv(basis, point, args.modes)
+    _write(args.out, parts)
     return 0
 
 
@@ -392,7 +395,7 @@ def _cmd_extend(args) -> int:
         "coefficients": basis.boundary_coeffs(g)[:m],
         "values": field.values,
     }
-    _write(args.out, dumps_canonical(payload))
+    _write(args.out, iter_canonical(payload))
     return 0
 
 
@@ -408,7 +411,7 @@ def _cmd_project(args) -> int:
         "norm_projection": projection.norm_l2(),
         "values": projection.values,
     }
-    _write(args.out, dumps_canonical(payload))
+    _write(args.out, iter_canonical(payload))
     return 0
 
 
@@ -424,7 +427,7 @@ def _cmd_verify(args) -> int:
     print(f"{len(results) - len(failed)}/{len(results)} invariants passed on {descriptor}")
     if args.out:
         payload = {"domain": descriptor, "checks": [asdict(r) for r in results]}
-        _write(args.out, dumps_canonical(payload))
+        _write(args.out, iter_canonical(payload))
     return 2 if failed else 0
 
 

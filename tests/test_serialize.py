@@ -22,7 +22,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steklovsvd import _serialize, meshing
-from steklovsvd._serialize import atomic_write_text, dumps_canonical, fmt_float, format_floats
+from steklovsvd._serialize import (
+    atomic_write_text,
+    dumps_canonical,
+    fmt_float,
+    format_floats,
+    iter_canonical,
+)
 from steklovsvd.bergman import TruncatedKernel, kernel_grid_csv
 from steklovsvd.cli import _read_json_object, main
 from steklovsvd.meshing import (
@@ -466,6 +472,48 @@ def test_fixed_cases_match_the_per_element_reference(case):
         assert format_floats(np.full(CUTOFF, v)) == ",".join([ref_fmt_float(v)] * CUTOFF)
 
 
+def _zero_heavy(seed: int, n: int) -> np.ndarray:
+    """``n`` values, about two thirds of them ``0.0`` or ``-0.0``, as in a
+    mesh's vertex flags or the boundary rows of a basis matrix."""
+    rng = np.random.default_rng(seed)
+    values = _bulk(rng, n)
+    pick = rng.integers(0, 3, size=n)
+    values[pick == 0] = 0.0
+    values[pick == 1] = -0.0
+    return values
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _zero_heavy(1, 3 * 2258),
+        np.zeros(CUTOFF),
+        -np.zeros(_serialize._BLOCK + 7),
+        np.resize([0.0, -0.0, 1.0, -1.0, 0.5, -0.0, 1e-300], 4 * CUTOFF),
+    ],
+    ids=["zero_heavy", "zeros", "negative_zeros", "signed_mix"],
+)
+def test_zeros_match_the_per_element_reference(values):
+    for sep in (",", " "):
+        assert format_floats(values, sep) == ref_array(values, sep)
+    for cols in (1, 3, 60):
+        table = np.resize(values, (values.size // cols, cols))
+        for sep, row_sep in ((",", "],["), (" ", "\n"), (",", "\n")):
+            assert format_floats(table, sep, row_sep) == ref_array(table, sep, row_sep)
+        assert format_floats(table.T, ",", "],[") == ref_array(table.T, ",", "],[")
+        assert dumps_canonical({"m": table}) == ref_dumps_canonical({"m": table})
+
+
+def test_zeros_take_the_array_path(monkeypatch):
+    calls = []
+    real = _serialize._fill_template
+    monkeypatch.setattr(_serialize, "_fill_template", lambda *a: calls.append(1) or real(*a))
+    values = np.zeros(4 * _serialize._BLOCK)
+    values[1::2] = -0.0
+    assert format_floats(values) == ",".join(["0", "-0"] * (values.size // 2))
+    assert calls == []
+
+
 def test_power_table_is_exact():
     hi, lo = _serialize._POWERS[:2]
     for i, p in enumerate(range(_serialize._POW_LOW, _serialize._POW_LOW + hi.size)):
@@ -506,17 +554,22 @@ def test_non_finite_value_deep_in_a_large_array_raises_the_reference_message(bad
         assert str(exc.value) == str(ref_exc.value)
 
 
+def _basis_like_payload(n: int, nb: int) -> dict:
+    """The seeded 60-mode basis payload of ``n`` vertices and ``nb`` boundary nodes."""
+    rng = np.random.default_rng(2024)
+    return {
+        "q": np.sort(rng.random(60)),
+        "b": rng.standard_normal((n, 60)).T,
+        "h": rng.standard_normal((n, 60)).T,
+        "w": rng.standard_normal((nb, 60)).T,
+    }
+
+
 def test_dumps_canonical_peak_memory_is_bounded():
     # A 60-mode basis payload at h 0.04: 280,380 floats.  The parent's one
     # ``%`` call per matrix peaked at 2.13 times the text traced; formatting
     # whole matrices in numpy would hold ~150 bytes per value, over 20 MB.
-    rng = np.random.default_rng(2024)
-    payload = {
-        "q": np.sort(rng.random(60)),
-        "b": rng.standard_normal((2258, 60)).T,
-        "h": rng.standard_normal((2258, 60)).T,
-        "w": rng.standard_normal((157, 60)).T,
-    }
+    payload = _basis_like_payload(2258, 157)
     dumps_canonical(payload)
     tracemalloc.start()
     try:
@@ -525,6 +578,69 @@ def test_dumps_canonical_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 2.2 * len(text)
+
+
+# A streamed write measured 0.39 MB traced at both sizes below (5.65 MB and
+# 21.8 MB of text): one block's text and temporaries, whatever the file's size.
+STREAM_PEAK = 1_200_000
+
+
+@pytest.mark.parametrize("n, nb", [(2258, 157), (8872, 314)])
+def test_streamed_write_peak_memory_does_not_grow_with_the_file(tmp_path, n, nb):
+    payload = _basis_like_payload(n, nb)
+    path = str(tmp_path / "basis.json")
+    atomic_write_text(path, iter_canonical(payload))
+    tracemalloc.start()
+    try:
+        atomic_write_text(path, iter_canonical(payload))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < STREAM_PEAK
+    assert os.path.getsize(path) > 4 * STREAM_PEAK
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [MIXED_PAYLOAD, _basis_like_payload(700, 90), {"m": _zero_heavy(2, 3 * 2258).reshape(-1, 3)}],
+    ids=["mixed", "basis_like", "vertex_table"],
+)
+def test_streamed_bytes_are_the_canonical_text(tmp_path, payload):
+    path = tmp_path / "out.json"
+    atomic_write_text(str(path), iter_canonical(payload))
+    assert path.read_bytes() == dumps_canonical(payload).encode()
+    parts = list(iter_canonical(payload))
+    assert all(isinstance(p, bytes) for p in parts)
+    # At most 24 characters and a 3-byte separator per value: one block.
+    assert max(map(len, parts)) <= 27 * _serialize._BLOCK
+
+
+def _temporary_files(directory) -> list:
+    return [name for name in os.listdir(directory) if name.startswith(".tmp-")]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_stream_failing_in_its_last_row_leaves_every_target_as_it_was(tmp_path, bad):
+    payload = _basis_like_payload(400, 157)
+    payload["w"] = payload["w"].copy()
+    payload["w"][-1, -1] = bad
+    with pytest.raises(ValueError) as ref_exc:
+        ref_dumps_canonical(payload)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_bytes(b"old\n")
+    calls = [
+        lambda: atomic_write_text(str(new), iter_canonical(payload)),
+        lambda: atomic_write_text(str(old), iter_canonical(payload)),
+        lambda: atomic_write_text(str(new), iter_canonical(payload), (str(old), "fresh\n")),
+        lambda: atomic_write_text(str(old), "fresh\n", (str(new), iter_canonical(payload))),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == str(ref_exc.value)
+        assert not new.exists()
+        assert old.read_bytes() == b"old\n"
+        assert _temporary_files(tmp_path) == []
 
 
 PENTAGON = [(0.0, 0.0), (2.0, 0.0), (3.0, 2.0), (1.0, 3.0), (-1.0, 1.0)]
@@ -638,6 +754,26 @@ def test_cli_writes_the_reference_bytes(tmp_path, domain):
     assert written("grid.csv", *query, "--which", "bergman") == ref_kernel_grid_csv(
         mesh.vertices, TruncatedKernel(loaded, 6).values_on_vertices(x)
     ).encode()
+
+
+def test_cli_stream_failing_in_its_last_row_writes_nothing(tmp_path, monkeypatch, capsys):
+    from steklovsvd import cli
+
+    def with_nan(basis, descriptor):
+        payload = basis_to_json_dict(basis, descriptor)
+        payload["w"] = payload["w"].copy()
+        payload["w"][-1, -1] = math.nan
+        return payload
+
+    monkeypatch.setattr(cli, "basis_to_json_dict", with_nan)
+    out, mesh_out = tmp_path / "basis.json", tmp_path / "mesh.txt"
+    out.write_bytes(b"old\n")
+    argv = ["dbs", "--h", "0.3", "--modes", "3", "--out", out, "--mesh-out", mesh_out]
+    assert main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err == "error: cannot serialize non-finite value nan\n"
+    assert out.read_bytes() == b"old\n"
+    assert not mesh_out.exists()
+    assert _temporary_files(tmp_path) == []
 
 
 # -- atomic writes -------------------------------------------------------------------
