@@ -144,8 +144,11 @@ class BoundaryField:
 _log = logging.getLogger("steklovsvd")
 
 # Columns per LU solve block.  Blocks start at column 0 and a trailing
-# one-column block joins the one before it: a one-column solve takes other
-# BLAS kernels and moves the last bits.  At most ``_WORKERS`` blocks are in
+# one-column block joins the one before it.  A column's last bits can depend
+# on its block's width (with scipy 1.17's SuperLU, 1- to 3-column solves and
+# some wider ones differ from a 128-column block; blocks of 16-128 give the
+# same eigensolver arrays), so the fixed layout is what keeps results
+# independent of the worker count.  At most ``_WORKERS`` blocks are in
 # flight, each solved straight into its columns of the result.
 _SOLVE_BLOCK = 32
 # Boundary columns per extension when ``AssembledOperators.boundary_form``
@@ -396,9 +399,12 @@ class AssembledOperators:
         # Each off-diagonal entry sums at most two triangles' terms, so the
         # block is exactly symmetric and its CSR arrays are its CSC arrays.
         a = sp.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape)
-        factor = splu(
-            a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-        )
+        try:
+            factor = splu(
+                a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+            )
+        except RuntimeError as exc:  # a zero pivot: a node in no triangle, say
+            raise ValueError(f"cannot factorize the interior stiffness block: {exc}") from None
         _log.debug(
             "interior LU of %d nodes: %d factor entries, %.4f s ordering, %.4f s factorizing",
             rows.size, factor.nnz, ordered - start, time.perf_counter() - ordered,
@@ -410,12 +416,6 @@ class AssembledOperators:
         """The interior rows in the solve order, and ``K_IB`` with its rows in that order."""
         order = self.interior_lu.order
         return self.interior_idx[order], self.stiffness_ib[order]
-
-    @property
-    def interior_nnz(self) -> int:
-        """Stored entries of the interior stiffness block, known before ``interior_lu``."""
-        rows = np.diff(self.stiffness.indptr)[self.interior_idx].sum()
-        return int(rows) - self.stiffness_ib.nnz
 
     def has_boundary_form(self, kind: str) -> bool:
         """Whether :meth:`boundary_form` ``kind`` is built already."""

@@ -239,26 +239,23 @@ def _check_modes(m: int, limit: int, what: str):
 # 35,207 vertices:
 # * one column of the identity extension, solved in blocks, costs 0.49-0.65
 #   of a single solve;
-# * the Gram product costs 0.03 columns per unit of n * nb**2 / (LU nonzeros);
-# * the LU holds 3 ln(n) - 14.5 times the nonzeros of the interior
-#   stiffness block: 8.9x at 2,258 vertices, 17.3x at 35,207.  This was
-#   fitted to COLAMD's fill; the nested-dissection LU holds 28-39%
-#   less, so the term now overestimates it.  The constants stay as they
-#   are, because a refit flips choices and output bytes with them.
+# * the Gram product costs 0.03 columns per unit of n * nb**2 / (LU nonzeros),
+#   read from the mesh's factor.
 # Dense is never chosen when the n x nb extension that builds the Gram form
 # (8 n nb bytes) would exceed the memory ceiling, for either problem.
 _BLOCK_COLUMN = 0.55
 _GRAM_COST = 0.03
 _DENSE_MEMORY_LIMIT = 2**28  # bytes
 
-# Boundary problem -> (form of the dense branch, ARPACK end, LU solves per
-# matvec, ARPACK matvecs for M modes on nb boundary nodes).  DBS (t_apply,
-# M largest) measured 34, 124, 153 and 253 matvecs at M = 5, 40, 60 and
-# 100, alike from 157 to 410 boundary nodes.  DtN (dtn_apply, M smallest)
-# grows with the spread of its spectrum, which is about nb: 114, 208 and
-# 313 at M = 8 and nb = 79, 206 and 410.
+# Boundary problem -> (form of the dense branch, ARPACK end, LU-solve
+# columns per matvec, ARPACK matvecs for M modes on nb boundary nodes).
+# DBS (t_apply, two solves timed as 2.2-2.9 single ones; M largest)
+# measured 34, 124, 153 and 253 matvecs at M = 5, 40, 60 and 100, alike
+# from 157 to 410 boundary nodes.  DtN (dtn_apply, M smallest) grows with
+# the spread of its spectrum, which is about nb: 114, 208 and 313 at M = 8
+# and nb = 79, 206 and 410.
 _PROBLEMS = {
-    "dbs": ("gram", "LA", 2, lambda m, nb: 22 + 2.3 * m),
+    "dbs": ("gram", "LA", 2.25, lambda m, nb: 22 + 2.3 * m),
     "dtn": ("schur", "SA", 1, lambda m, nb: (14 + 0.06 * m) * math.sqrt(nb)),
 }
 
@@ -271,16 +268,16 @@ class MethodChoice(NamedTuple):
 
 
 def _choose_method(
-    problem: str, n: int, nb: int, n_modes: int, a_nnz: int, cached: bool
+    problem: str, n: int, nb: int, n_modes: int, lu_nnz: int, cached: bool
 ) -> MethodChoice:
     """Dense or Lanczos for ``n_modes`` modes of ``problem`` ("dbs" or "dtn").
 
-    ``n`` vertices, ``nb`` boundary nodes, ``a_nnz`` stored entries of the
-    interior stiffness block, ``cached`` whether the mesh holds the dense
-    branch's form already.  Dense costs nothing beyond ``eigh`` with the
-    form cached; otherwise it extends the identity (and for DBS multiplies
-    out the Gram form).  Lanczos costs its matvecs, at most ``nb + 1``
-    (ARPACK's Krylov space is then the whole boundary space).
+    ``n`` vertices, ``nb`` boundary nodes, ``lu_nnz`` stored entries of the
+    interior LU, ``cached`` whether the mesh holds the dense branch's form
+    already.  Dense costs nothing beyond ``eigh`` with the form cached;
+    otherwise it extends the identity (and for DBS multiplies out the Gram
+    form).  Lanczos costs its matvecs, at most ``nb + 1`` (ARPACK's Krylov
+    space is then the whole boundary space).
     """
     form, _, solves, matvecs = _PROBLEMS[problem]
     lanczos = solves * min(matvecs(n_modes, nb), nb + 1)
@@ -288,8 +285,7 @@ def _choose_method(
         return MethodChoice("dense", "cached forms", 0.0, lanczos)
     dense = _BLOCK_COLUMN * nb
     if form == "gram":
-        lu_nnz = max(3.0 * math.log(n) - 14.5, 1.0) * a_nnz
-        dense += _GRAM_COST * n * nb * nb / lu_nnz
+        dense += _GRAM_COST * n * nb * nb / max(lu_nnz, 1)
     if 8 * n * nb > _DENSE_MEMORY_LIMIT:
         return MethodChoice("lanczos", "memory ceiling", dense, lanczos)
     return MethodChoice("dense" if dense <= lanczos else "lanczos", "costs", dense, lanczos)
@@ -307,13 +303,15 @@ def _boundary_spectrum(mesh, n_modes: int, method: str, problem: str, apply):
     nb = ops.boundary_idx.size
     form, which, _, _ = _PROBLEMS[problem]
     if method == "auto":
+        # Both methods solve with the LU, so reading its size here costs nothing.
+        lu_nnz = ops.interior_lu.nnz
         choice = _choose_method(
-            problem, ops.n_vertices, nb, n_modes, ops.interior_nnz, ops.has_boundary_form(form)
+            problem, ops.n_vertices, nb, n_modes, lu_nnz, ops.has_boundary_form(form)
         )
         _log.debug(
-            "%s eigensolve of %d modes (%d vertices, %d boundary nodes): %s by %s, "
-            "dense %.0f vs lanczos %.0f LU-solve columns",
-            problem, n_modes, ops.n_vertices, nb, *choice,
+            "%s eigensolve of %d modes (%d vertices, %d boundary nodes, %d factor entries): "
+            "%s by %s, dense %.0f vs lanczos %.0f LU-solve columns",
+            problem, n_modes, ops.n_vertices, nb, lu_nnz, *choice,
         )  # fmt: skip
         method = choice.method
     sw = np.sqrt(ops.boundary_weights)
@@ -351,9 +349,9 @@ def dbs_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") -> SpectralBa
         Lanczos when the dense extension would exceed 256 MiB
         (``8 n nb`` bytes, ``n`` vertices, ``nb`` boundary nodes), and
         otherwise the cheaper by a cost model counted in LU solves.  The
-        choice depends only on ``n``, ``nb``, the nonzeros of the
-        interior stiffness block, ``n_modes``, the problem and which
-        boundary forms the mesh has cached; it is logged at DEBUG on the
+        choice depends only on ``n``, ``nb``, the stored entries of the
+        mesh's interior LU, ``n_modes``, the problem and which boundary
+        forms the mesh has cached; it is logged at DEBUG on the
         ``steklovsvd`` logger.
 
     Returns
@@ -436,7 +434,7 @@ def dirichlet_laplacian_eigensolve(mesh: Mesh, n_modes: int) -> list[DirichletEi
         a_inv = spla.LinearOperator((ni, ni), matvec=ops.interior_lu.solve, dtype=float)
         vals, vecs = _eigsh(
             a_ii, n_modes, "shift-invert Lanczos",
-            M=m_ii.tocsc(), sigma=0.0, which="LM", OPinv=a_inv,
+            M=m_ii, sigma=0.0, which="LM", OPinv=a_inv,
         )  # fmt: skip
     if vals[0] <= 0:
         raise IterationLimitError("Dirichlet spectrum came out nonpositive")

@@ -460,6 +460,19 @@ class TestMeshAndBasisFileErrors:
             argv = ["kernel", "--basis", bad, "--x", "0,0", "--out", out]
         assert_one_input_error(run(argv), capsys, recwarn, out)
 
+    @pytest.mark.parametrize("command", ["dbs", "steklov"])
+    def test_unfactorizable_mesh_is_one_error_line(self, tmp_path, capsys, recwarn, command):
+        # Node 4 lies in no triangle, so the interior stiffness block is singular.
+        mesh = tmp_path / "mesh.txt"
+        mesh.write_text(
+            "nodes 5\n0 0 1\n1 0 1\n1 1 1\n0 1 1\n0.5 0.2 0\n"
+            "triangles 2\n0 1 2\n0 2 3\nboundary_loops 1\nloop 4\n0 1 2 3\n"
+        )
+        out = tmp_path / "out.json"
+        code = run([command, "--mesh", mesh, "--modes", "3", "--out", out])
+        err = assert_one_input_error(code, capsys, recwarn, out)
+        assert err.startswith("error: cannot factorize the interior stiffness block: ")
+
     @pytest.mark.parametrize(
         "domain, detail",
         [

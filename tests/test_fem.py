@@ -309,11 +309,6 @@ class TestBoundaryForms:
         both.boundary_form("gram")
         assert np.array_equal(both.boundary_form("schur"), schur)
 
-    def test_interior_nnz_counts_the_factorized_block(self, disk_mid):
-        ops = operators(disk_mid)
-        a_ii = ops.stiffness[ops.interior_idx][:, ops.interior_idx]
-        assert ops.interior_nnz == a_ii.nnz
-
     def test_one_factorization_for_all_three_solvers(self, monkeypatch):
         mesh = disk_mesh(1.0, 0.05)
         assert mesh.interior_nodes.size > 600  # the shift-invert Dirichlet branch

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steklovsvd import build_polygon_mesh, disk_mesh, refine, spectra, transform
+from steklovsvd import Mesh, build_polygon_mesh, disk_mesh, refine, spectra, transform
 from steklovsvd.analytic_disk import bessel_j_zero
 from steklovsvd.errors import CapacityError, TruncationWarning
 from steklovsvd.fem import (
@@ -259,26 +259,33 @@ class TestDirichletLaplacian:
             assert np.array_equal(p.flux.values, normal_flux(disk_mid, p.e, f).values)
 
 
-# (n, interior stiffness nonzeros) by boundary node count, recorded from
+# (n, interior LU factor entries) by boundary node count, recorded from
 # disk_mesh(1, 0.04), the 1.5:1 rectangle of area 1 at h=0.02, and
 # refine(disk_mesh(1, h)) for h = 0.04, 0.03 and 0.02.
 RECORDED_SIZES = {
-    157: (2258, 14397),
-    206: (2989, 19057),
-    314: (8872, 59282),
-    418: (15528, 104938),
-    628: (35207, 240801),
+    157: (2258, 98464),
+    206: (2989, 128236),
+    314: (8872, 525702),
+    418: (15528, 1018482),
+    628: (35207, 2651116),
 }
 
 
 class TestMethodChoice:
     @staticmethod
     def choose(problem, nb, n_modes, cached=False, n=None):
-        # A fake size (n given) has about 7 stiffness entries per vertex.
-        n, a_nnz = RECORDED_SIZES[nb] if n is None else (n, 7 * n)
-        return spectra._choose_method(problem, n, nb, n_modes, a_nnz, cached)
+        # A fake size (n given) has 75 factor entries per vertex, no fewer
+        # than the recorded meshes (25 at 381 vertices, 75.3 at 35,207).
+        n, lu_nnz = RECORDED_SIZES[nb] if n is None else (n, 75 * n)
+        return spectra._choose_method(problem, n, nb, n_modes, lu_nnz, cached)
 
-    @pytest.mark.parametrize("nb, n_modes", [(157, 60), (314, 60), (418, 60), (206, 40)])
+    # (314, 36), (418, 53) and (628, 88) lie just above the DBS crossover:
+    # dense 0.32, 0.69 and 2.58 s against Lanczos 0.43, 0.91 and 3.56 s,
+    # medians of 10 runs alternating the methods on fresh meshes.
+    @pytest.mark.parametrize(
+        "nb, n_modes",
+        [(157, 60), (314, 60), (418, 60), (206, 40), (314, 36), (418, 53), (628, 88)],
+    )
     def test_dense_where_it_was_measured_faster(self, nb, n_modes):
         choice = self.choose("dbs", nb, n_modes)
         assert choice.method == "dense" and choice.reason == "costs"
@@ -318,12 +325,25 @@ class TestMethodChoice:
             dbs_eigensolve(mesh, 6)
             harmonic_steklov_eigensolve(mesh, 5)
         # Only the solver's records: the LU pool logs its first use too.
-        messages = [r.getMessage() for r in caplog.records if r.module == "spectra"]
+        records = [r for r in caplog.records if r.module == "spectra"]
+        messages = [r.getMessage() for r in records]
         assert len(messages) == 2
         assert messages[0].startswith("dbs eigensolve of 6 modes")
         assert ": dense by costs, dense " in messages[0]
         assert messages[1].startswith("dtn eigensolve of 5 modes")
         assert ": dense by cached forms, dense 0 vs lanczos " in messages[1]
+        # The fresh mesh's choice reads the entries of its own factor.
+        ops = operators(mesh)
+        n, nb, lu_nnz = ops.n_vertices, ops.boundary_idx.size, ops.interior_lu.nnz
+        choice = spectra._choose_method("dbs", n, nb, 6, lu_nnz, False)
+        assert records[0].args == ("dbs", 6, n, nb, lu_nnz, *choice)
+        assert f"{nb} boundary nodes, {lu_nnz} factor entries): " in messages[0]
+
+    def test_auto_on_a_mesh_without_interior_nodes(self):
+        # The interior LU is empty (no entries): auto must still rate both methods.
+        square = ([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)])
+        auto = dbs_eigensolve(Mesh(*square), 2)
+        assert np.array_equal(auto.q, dbs_eigensolve(Mesh(*square), 2, method="dense").q)
 
 
 class TestNormalDerivativeSeries:
