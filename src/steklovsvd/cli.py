@@ -2,9 +2,10 @@
 
 Subcommands: ``mesh``, ``dbs``, ``steklov``, ``laplace-eigs``, ``kernel``,
 ``extend``, ``project``, ``verify``.  All outputs are written atomically
-with fixed float formatting (17 significant digits), so identical inputs
-produce byte-identical files.  Exit codes: 0 success, 1 input or solver
-error, 2 verification failure.
+with fixed float formatting, so identical inputs produce byte-identical
+files: JSON floats are the shortest decimal that reads back to the same
+double (``-0.0`` included), CSVs and mesh text keep ``%.17g``.  Exit
+codes: 0 success, 1 input or solver error, 2 verification failure.
 
 Configuration comes from flags or a single optional JSON config file
 (``--config``) whose keys match the flag names; flags win.  No

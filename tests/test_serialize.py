@@ -1,8 +1,13 @@
-"""Byte-identity of the batched float writers against the per-float originals.
+"""Byte-identity of the batched float writers against per-float references.
 
-The reference functions below are the per-float writers the package used
-before floats were formatted a row at a time, copied unchanged; every
-writer must still produce exactly their bytes.
+The reference functions below write one float at a time.  Text tables
+(CSVs, mesh text, descriptors) keep the package's original ``%.17g``
+writers, copied unchanged.  JSON floats are the shortest round-trip
+decimal: the reference writes each one with ``orjson.dumps`` of a Python
+float, and :func:`test_json_floats_are_shortest_round_trip_decimals`
+checks that text against ``repr`` through ``Decimal``.  The ``%.17g`` JSON
+writer the package used before (:func:`ref_dumps_canonical_17g`) stays as
+the writer of old basis files, which must still load.
 """
 
 import hashlib
@@ -13,7 +18,7 @@ import os
 import stat
 import struct
 import tracemalloc
-from fractions import Fraction
+from decimal import Decimal
 
 import numpy as np
 import orjson
@@ -28,6 +33,7 @@ from steklovsvd._serialize import (
     fmt_float,
     format_floats,
     iter_canonical,
+    iter_csv,
 )
 from steklovsvd.bergman import TruncatedKernel, kernel_grid_csv
 from steklovsvd.cli import _read_json_object, main
@@ -58,19 +64,27 @@ def ref_fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def ref_canonical(obj):
+def ref_json_float(x: float) -> str:
+    x = float(x)
+    if not np.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite value {x}")
+    return orjson.dumps(x).decode()
+
+
+def ref_canonical(obj, fmt=ref_json_float):
     if isinstance(obj, dict):
-        return "{" + ",".join(f"{json.dumps(str(k))}:{ref_canonical(v)}" for k, v in obj.items()) + "}"
+        items = (f"{json.dumps(str(k))}:{ref_canonical(v, fmt)}" for k, v in obj.items())
+        return "{" + ",".join(items) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(ref_canonical(v) for v in obj) + "]"
+        return "[" + ",".join(ref_canonical(v, fmt) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
-        return ref_canonical(obj.tolist())
+        return ref_canonical(obj.tolist(), fmt)
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return ref_fmt_float(obj)
+        return fmt(obj)
     if obj is None:
         return "null"
     if isinstance(obj, str):
@@ -80,6 +94,11 @@ def ref_canonical(obj):
 
 def ref_dumps_canonical(obj) -> str:
     return ref_canonical(obj) + "\n"
+
+
+def ref_dumps_canonical_17g(obj) -> str:
+    """The JSON the package wrote before its floats were shortest round-trip."""
+    return ref_canonical(obj, ref_fmt_float) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -222,7 +241,7 @@ def test_pinned_payload_hash():
     # No solver involved: the digest is the same on every machine.
     text = dumps_canonical(MIXED_PAYLOAD)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "f3f039596443a1ec7ffdd4cc03a1afcbc3edb26d038339aa4c7627553cf9c729"
+        "2b4e5274dff9df95d8fd1f5e0dec8b30083c88cfe45e427510b7e176a19e0958"
     )
 
 
@@ -387,7 +406,7 @@ def test_rows_with_non_float_items_keep_per_element_rendering(odd, k, j):
 
 # -- large float64 arrays ------------------------------------------------------------
 
-CUTOFF = _serialize._ARRAY_MIN
+BLOCK = _serialize._BLOCK
 
 
 def ref_array(arr, sep, row_sep=None) -> str:
@@ -419,13 +438,14 @@ def _bulk(rng, n: int) -> np.ndarray:
 )
 def test_large_arrays_match_the_per_element_reference(seed, extra, cols, layout):
     rng = np.random.default_rng(seed)
-    rows = -(-CUTOFF // cols) + int(rng.integers(0, 3000 // cols + 1))
+    rows = -(-BLOCK // cols) + int(rng.integers(0, 3000 // cols + 1))
     values = _bulk(rng, rows * cols)
     spots = rng.choice(values.size, size=min(len(extra), values.size), replace=False)
     values[spots] = extra[: spots.size]
     if layout == "1d":
         assert format_floats(values) == ref_array(values, ",")
         assert format_floats(values, " ") == ref_array(values, " ")
+        assert dumps_canonical(values) == ref_dumps_canonical(values)
         return
     table = values.reshape(rows, cols) if layout == "c" else values.reshape(cols, rows).T
     assert format_floats(table, ",", "],[") == ref_array(table, ",", "],[")
@@ -463,13 +483,12 @@ FIXED_CASES = {
 @pytest.mark.parametrize("case", FIXED_CASES)
 def test_fixed_cases_match_the_per_element_reference(case):
     values = np.array(FIXED_CASES[case], dtype=float)
-    padded = np.resize(values, max(CUTOFF, values.size))
+    padded = np.resize(values, max(BLOCK + 1, values.size))
     assert format_floats(padded) == ref_array(padded, ",")
-    table = np.resize(values, (max(CUTOFF, values.size) // 4 + 1, 4))
+    assert dumps_canonical(padded) == ref_dumps_canonical(padded)
+    table = np.resize(values, (max(BLOCK, values.size) // 4 + 1, 4))
     assert format_floats(table, ",", "\n") == ref_array(table, ",", "\n")
-    # Alone in an array, so that no other value sets off a second pass.
-    for v in values:
-        assert format_floats(np.full(CUTOFF, v)) == ",".join([ref_fmt_float(v)] * CUTOFF)
+    assert dumps_canonical(table) == ref_dumps_canonical(table)
 
 
 def _zero_heavy(seed: int, n: int) -> np.ndarray:
@@ -487,9 +506,9 @@ def _zero_heavy(seed: int, n: int) -> np.ndarray:
     "values",
     [
         _zero_heavy(1, 3 * 2258),
-        np.zeros(CUTOFF),
-        -np.zeros(_serialize._BLOCK + 7),
-        np.resize([0.0, -0.0, 1.0, -1.0, 0.5, -0.0, 1e-300], 4 * CUTOFF),
+        np.zeros(BLOCK),
+        -np.zeros(BLOCK + 7),
+        np.resize([0.0, -0.0, 1.0, -1.0, 0.5, -0.0, 1e-300], 4 * BLOCK),
     ],
     ids=["zero_heavy", "zeros", "negative_zeros", "signed_mix"],
 )
@@ -504,34 +523,19 @@ def test_zeros_match_the_per_element_reference(values):
         assert dumps_canonical({"m": table}) == ref_dumps_canonical({"m": table})
 
 
-def test_zeros_take_the_array_path(monkeypatch):
-    calls = []
-    real = _serialize._fill_template
-    monkeypatch.setattr(_serialize, "_fill_template", lambda *a: calls.append(1) or real(*a))
-    values = np.zeros(4 * _serialize._BLOCK)
-    values[1::2] = -0.0
-    assert format_floats(values) == ",".join(["0", "-0"] * (values.size // 2))
-    assert calls == []
-
-
-def test_power_table_is_exact():
-    hi, lo = _serialize._POWERS[:2]
-    for i, p in enumerate(range(_serialize._POW_LOW, _serialize._POW_LOW + hi.size)):
-        exact = Fraction(10) ** p
-        assert hi[i] == float(exact)
-        assert lo[i] == float(exact - Fraction(hi[i]))
-
-
-@pytest.mark.parametrize("n", [CUTOFF - 1, CUTOFF, CUTOFF + 1])
-def test_lengths_around_the_cutoff(monkeypatch, n):
-    calls = []
-    real = _serialize._format_array
-    monkeypatch.setattr(_serialize, "_format_array", lambda *a: calls.append(1) or real(*a))
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1])
+def test_lengths_around_the_block(n):
     values = _bulk(np.random.default_rng(n), n)
-    assert format_floats(values) == ref_array(values, ",")
-    table = np.resize(values, (n, 1))
-    assert format_floats(table, ",", "],[") == ref_array(table, ",", "],[")
-    assert len(calls) == (2 if n >= CUTOFF else 0)
+    parts = list(_serialize.iter_floats(values))
+    assert len(parts) == -(-n // BLOCK)
+    assert b"".join(parts).decode() == ref_array(values, ",")
+    table = np.resize(values, (3, n))
+    assert format_floats(table, ",", "\n") == ref_array(table, ",", "\n")
+    for table in (values, values.reshape(1, n), np.resize(values, (2, n))):
+        parts = list(iter_canonical({"m": table}))
+        assert b"".join(parts).decode() == ref_dumps_canonical({"m": table})
+        # No part holds more than one block of values.
+        assert max(part.count(b",") for part in parts) == min(n, BLOCK) - 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -585,19 +589,37 @@ def test_dumps_canonical_peak_memory_is_bounded():
 STREAM_PEAK = 1_200_000
 
 
+def _traced_write_peak(path, parts) -> int:
+    """The traced peak of a streamed write, after one untraced warm-up write."""
+    atomic_write_text(path, parts())
+    tracemalloc.start()
+    try:
+        atomic_write_text(path, parts())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("n, nb", [(2258, 157), (8872, 314)])
 def test_streamed_write_peak_memory_does_not_grow_with_the_file(tmp_path, n, nb):
     payload = _basis_like_payload(n, nb)
     path = str(tmp_path / "basis.json")
-    atomic_write_text(path, iter_canonical(payload))
-    tracemalloc.start()
-    try:
-        atomic_write_text(path, iter_canonical(payload))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_write_peak(path, lambda: iter_canonical(payload))
     assert peak < STREAM_PEAK
     assert os.path.getsize(path) > 4 * STREAM_PEAK
+
+
+def test_streamed_csv_peak_memory_does_not_grow_with_the_table(tmp_path):
+    # The vertex counts of disk h 0.04 and of its second refinement.  Both
+    # measured 0.21 MB traced, for 0.14 MB and 2.1 MB of text.
+    path = str(tmp_path / "grid.csv")
+    peaks = []
+    for rows in (2258, 35207):
+        table = np.random.default_rng(rows).standard_normal((rows, 3))
+        peaks.append(_traced_write_peak(path, lambda: iter_csv("x,y,value", table)))
+    assert max(peaks) < STREAM_PEAK
+    assert peaks[1] < 1.25 * peaks[0]
+    assert os.path.getsize(path) > STREAM_PEAK
 
 
 @pytest.mark.parametrize(
@@ -830,6 +852,35 @@ def test_basis_files_decode_to_the_same_bits_through_orjson_and_json(tmp_path, d
     assert fast == slow
 
 
+@pytest.mark.parametrize("domain", ["disk", "pentagon"])
+def test_old_basis_files_give_the_same_outputs(tmp_path, domain):
+    # A basis written in the earlier %.17g format, its -0.0 entries as '-0'
+    # (read back as +0.0), answers every query with the same bytes.
+    if domain == "disk":
+        flags = ["--domain", "disk", "--radius", "1", "--h", "0.1"]
+    else:
+        corners = tmp_path / "corners.txt"
+        corners.write_text("".join(f"{x} {y}\n" for x, y in PENTAGON))
+        flags = ["--domain", "polygon", "--vertices-file", corners, "--h", "0.2"]
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    assert main([str(a) for a in ("dbs", *flags, "--modes", "12", "--out", new)]) == 0
+    old.write_text(ref_dumps_canonical_17g(json.loads(new.read_text())))
+    assert ",-0," in old.read_text() and ",-0.0," in new.read_text()
+    queries = [
+        ["kernel", "--x", "0.5,0.5"],
+        ["kernel", "--x", "0.5,0.5", "--which", "bergman"],
+        ["extend", "--g-const", "1.0", "--modes", "5"],
+        ["project", "--f-const", "2.0"],
+    ]
+    for query in queries:
+        outputs = []
+        for basis in (new, old):
+            out = tmp_path / "out"
+            assert main([str(a) for a in (*query, "--basis", basis, "--out", out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], query
+
+
 @pytest.fixture(scope="module")
 def json_path(tmp_path_factory):
     return tmp_path_factory.mktemp("floats") / "v.json"
@@ -838,9 +889,36 @@ def json_path(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(finite_floats, max_size=40))
 @example(EDGE_FLOATS)
+@example([-0.0] * 3)
 def test_formatted_floats_read_back_bit_for_bit(json_path, values):
-    json_path.write_text('{"v": [' + format_floats(values) + "]}")
-    read = _read_json_object(json_path, "basis")["v"]
-    assert np.array_equal(_bits(read), _bits(json.loads(json_path.read_text())["v"]))
-    # '%.17g' writes -0.0 as '-0', which JSON reads as the integer 0.
-    assert np.array_equal(_bits(read), _bits([0.0 if v == 0 else v for v in values]))
+    # Every finite float64, -0.0 and the subnormals included, as a scalar,
+    # in a list and in 1-D and 2-D arrays.
+    arr = np.array(values, dtype=float)
+    payload = {
+        "scalars": [np.float64(v) for v in values],
+        "list": values,
+        "vec": arr,
+        "rows": arr.reshape(1, -1),
+        "cols": arr.reshape(-1, 1),
+    }
+    json_path.write_bytes(b"".join(iter_canonical(payload)))
+    for read in (_read_json_object(json_path, "basis"), json.loads(json_path.read_text())):
+        assert np.array_equal(_bits(read["scalars"]), _bits(values))
+        assert np.array_equal(_bits(read["list"]), _bits(values))
+        assert np.array_equal(_bits(read["vec"]), _bits(values))
+        assert np.array_equal(_bits(read["rows"]).reshape(-1), _bits(values))
+        assert np.array_equal(_bits(read["cols"]).reshape(-1), _bits(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finite_floats, min_size=1, max_size=40))
+@example(EDGE_FLOATS)
+@example([1e16, 1e-5, 1e22, 1e-7, 123456789012345680.0, 0.0001])
+def test_json_floats_are_shortest_round_trip_decimals(values):
+    # The same decimal as Python's repr, the shortest that reads back; only
+    # the layout may differ ('1e16' and '0.00001' against '1e+16' and '1e-05').
+    texts = dumps_canonical(np.array(values)).strip()[1:-1].split(",")
+    assert texts == dumps_canonical(values).strip()[1:-1].split(",")
+    for v, text in zip(values, texts):
+        assert Decimal(text) == Decimal(repr(v))
+        assert float(text) == v and math.copysign(1.0, float(text)) == math.copysign(1.0, v)

@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -373,10 +374,19 @@ class TestNormalDerivativeSeries:
 class TestHassellTao:
     def test_disk_reports(self, disk_mid, disk_mid_basis):
         for pair in dirichlet_laplacian_eigensolve(disk_mid, 5):
-            report = hassell_tao_check(pair, disk_mid_basis)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", TruncationWarning)
+                report = hassell_tao_check(pair, disk_mid_basis)
             assert report.flux_sq == pytest.approx(2 * pair.lam, rel=0.02)
             assert report.ratio <= 1 + 1e-6
             assert report.bound_weak >= report.bound
+
+    def test_short_basis_warns_when_the_bound_fails(self):
+        pentagon = build_polygon_mesh([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)], 0.1)
+        pair = dirichlet_laplacian_eigensolve(pentagon, 3)[2]
+        with pytest.warns(TruncationWarning, match="times the truncated bound"):
+            report = hassell_tao_check(pair, dbs_eigensolve(pentagon, 2))
+        assert report.ratio == pytest.approx(428.1, rel=1e-3)
 
     def test_unnormalized_field_rejected(self, disk_mid, disk_mid_basis):
         pair = dirichlet_laplacian_eigensolve(disk_mid, 1)[0]
