@@ -53,8 +53,8 @@ print(f"q_1 from dense assembly : {1 / beta[0]:.10f}")
 
 print()
 print("== Classical values ==")
-lam1 = dirichlet_laplacian_eigensolve(meshes[-1], 1)[0].lam
+lam1 = dirichlet_laplacian_eigensolve(meshes[-1], 1).lam[0]
 print(f"Dirichlet ground state: {lam1:.5f}  (2 pi^2 = {2 * math.pi ** 2:.5f})")
 steklov = harmonic_steklov_eigensolve(meshes[-1], 4)
 print("first Dirichlet-to-Neumann eigenvalues:",
-      np.array2string(np.array([p.delta for p in steklov]), precision=5))
+      np.array2string(steklov.delta, precision=5))

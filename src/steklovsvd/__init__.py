@@ -70,9 +70,9 @@ from .poisson import (
     truncation_error_report,
 )
 from .spectra import (
-    DirichletEigenpair,
-    HarmonicSteklovPair,
+    DirichletSpectrum,
     SpectralBasis,
+    SteklovSpectrum,
     dbs_eigensolve,
     dirichlet_laplacian_eigensolve,
     harmonic_steklov_eigensolve,

@@ -317,27 +317,25 @@ def _cmd_mesh(args) -> int:
     return 0
 
 
-def _steklov_payload(mesh, descriptor, pairs) -> dict:
-    digest = mesh_hash(mesh)
+def _steklov_payload(mesh, descriptor, spectrum) -> dict:
     return {
         "domain": descriptor,
         "boundary_length": mesh.boundary_length,
-        "M": len(pairs),
-        "delta": np.array([p.delta for p in pairs]),
-        "s": np.array([p.s.values for p in pairs]),
-        "mesh_hash": digest,
+        "M": spectrum.delta.size,
+        "delta": spectrum.delta,
+        "s": spectrum.s_matrix.T,
+        "mesh_hash": mesh_hash(mesh),
     }
 
 
-def _laplace_payload(mesh, descriptor, pairs) -> dict:
-    digest = mesh_hash(mesh)
+def _laplace_payload(mesh, descriptor, spectrum) -> dict:
     return {
         "domain": descriptor,
-        "M": len(pairs),
-        "lambda": np.array([p.lam for p in pairs]),
-        "e": np.array([p.e.values for p in pairs]),
-        "flux": np.array([p.flux.values for p in pairs]),
-        "mesh_hash": digest,
+        "M": spectrum.lam.size,
+        "lambda": spectrum.lam,
+        "e": spectrum.e_matrix.T,
+        "flux": spectrum.flux_matrix.T,
+        "mesh_hash": mesh_hash(mesh),
     }
 
 
@@ -357,9 +355,8 @@ def _cmd_eigen(args) -> int:
     mesh, descriptor = _domain_mesh(args)
     solve, payload = _EIGEN_COMMANDS[args.command]
     result = solve(mesh, args.modes)
-    # Each builder hashes the mesh before it stacks its arrays, so the mesh
-    # text is built while no stacked copy is alive.  The parts are formatted
-    # as the file is written: one block's text is alive at a time.
+    # The payload holds the solver's arrays, not copies, and the parts are
+    # formatted as the file is written: one block's text is alive at a time.
     parts = iter_canonical(payload(mesh, descriptor, result))
     mesh_output = [(args.mesh_out, write_mesh_text(mesh))] if args.mesh_out else []
     _write(args.out, parts, *mesh_output)

@@ -38,6 +38,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -52,14 +53,13 @@ from .fem import (
     interpolate_values,
     operators,
     t_apply,
-    trace,
 )
 from .meshing import Mesh, mesh_hash
 
 __all__ = [
     "SpectralBasis",
-    "HarmonicSteklovPair",
-    "DirichletEigenpair",
+    "SteklovSpectrum",
+    "DirichletSpectrum",
     "HassellTaoReport",
     "dbs_eigensolve",
     "harmonic_steklov_eigensolve",
@@ -213,20 +213,37 @@ class SpectralBasis:
 
 
 @dataclass(eq=False)
-class HarmonicSteklovPair:
-    """Dirichlet-to-Neumann eigenpair with unit-norm boundary trace."""
+class SteklovSpectrum:
+    """Dirichlet-to-Neumann eigenvalues ``delta`` (M,), ascending from zero, and
+    harmonic eigenfields ``s_matrix`` (n, M) with orthonormal traces."""
 
-    delta: float
-    s: InteriorField
+    mesh: Mesh
+    delta: np.ndarray
+    s_matrix: np.ndarray
+
+    # Per-mode views for perfbench/workloads.py; they go when ROADMAP item 10 edits it.
+    def __iter__(self):
+        for delta, s in zip(self.delta.tolist(), self.s_matrix.T):
+            yield SimpleNamespace(delta=delta, s=InteriorField(self.mesh, s))
 
 
 @dataclass(eq=False)
-class DirichletEigenpair:
-    """Dirichlet Laplacian eigenpair with consistently recovered flux."""
+class DirichletSpectrum:
+    """Dirichlet Laplacian eigenvalues ``lam`` (M,), ascending, L2-orthonormal
+    eigenfields ``e_matrix`` (n, M) and their recovered fluxes ``flux_matrix``
+    (n_boundary, M)."""
 
-    lam: float
-    e: InteriorField
-    flux: BoundaryField
+    mesh: Mesh
+    lam: np.ndarray
+    e_matrix: np.ndarray
+    flux_matrix: np.ndarray
+
+    # Per-mode views for perfbench/workloads.py; they go when ROADMAP item 10 edits it.
+    def __iter__(self):
+        for lam, e, flux in zip(self.lam.tolist(), self.e_matrix.T, self.flux_matrix.T):
+            yield SimpleNamespace(
+                lam=lam, e=InteriorField(self.mesh, e), flux=BoundaryField(self.mesh, flux)
+            )
 
 
 def _check_modes(m: int, limit: int, what: str):
@@ -387,9 +404,7 @@ def dbs_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") -> SpectralBa
     return SpectralBasis(mesh, q, b_mat, h_mat, w_mat)
 
 
-def harmonic_steklov_eigensolve(
-    mesh: Mesh, n_modes: int, method: str = "auto"
-) -> list[HarmonicSteklovPair]:
+def harmonic_steklov_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") -> SteklovSpectrum:
     """Smallest ``n_modes`` Dirichlet-to-Neumann eigenpairs.
 
     The first eigenvalue is zero with constant eigenfunction; traces are
@@ -410,13 +425,10 @@ def harmonic_steklov_eigensolve(
     _canonicalize_clusters(delta, [g_cols], g_cols)
     s_mat = ops.extend_boundary_columns(g_cols)
     _fix_signs([s_mat], s_mat)
-    return [
-        HarmonicSteklovPair(float(delta[j]), InteriorField(mesh, s_mat[:, j]))
-        for j in range(n_modes)
-    ]
+    return SteklovSpectrum(mesh, delta, s_mat)
 
 
-def dirichlet_laplacian_eigensolve(mesh: Mesh, n_modes: int) -> list[DirichletEigenpair]:
+def dirichlet_laplacian_eigensolve(mesh: Mesh, n_modes: int) -> DirichletSpectrum:
     """Smallest ``n_modes`` Dirichlet Laplacian eigenpairs, L2-orthonormal.
 
     Dense ``eigh`` with at most 600 interior nodes or ``n_modes > interior
@@ -451,10 +463,7 @@ def dirichlet_laplacian_eigensolve(mesh: Mesh, n_modes: int) -> list[DirichletEi
 
     # The flux of every mode at once, with f = -lam e.
     flux = ops.boundary_flux(e_mat, ops.mass @ (e_mat * -vals))
-    return [
-        DirichletEigenpair(float(lam), InteriorField(mesh, e), BoundaryField(mesh, d))
-        for lam, e, d in zip(vals, e_mat.T, flux.T)
-    ]
+    return DirichletSpectrum(mesh, vals, e_mat, flux)
 
 
 def normal_derivative_series(
@@ -467,7 +476,7 @@ def normal_derivative_series(
     ``- lam * sum_j e_coeffs[j] / sqrt(|bdy| q_j) * w_j``,
     which converges to the recovered flux of ``e`` as the rank grows.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"Dirichlet eigenvalue must be positive, got {lam}")
     c = np.asarray(e_coeffs, dtype=float)
     if c.size > basis.rank:
@@ -477,18 +486,24 @@ def normal_derivative_series(
     return BoundaryField(basis.mesh, basis.w_matrix[:, :k] @ weights)
 
 
+def _check_same_mesh(a: Mesh, b: Mesh, what: str):
+    """Refuse inputs from two meshes; equal meshes are equal by their text."""
+    if a is not b and mesh_hash(a) != mesh_hash(b):
+        raise ValueError(f"{what} come from different meshes")
+
+
 @dataclass(frozen=True)
 class HassellTaoReport:
-    """Boundary flux energy of a Dirichlet eigenfunction against its bound."""
+    """Boundary flux energy of each Dirichlet eigenfunction against its bound, per mode."""
 
-    flux_sq: float
-    bound: float
-    bound_weak: float
-    ratio: float
+    flux_sq: np.ndarray
+    bound: np.ndarray
+    bound_weak: np.ndarray
+    ratio: np.ndarray
 
 
-def hassell_tao_check(pair: DirichletEigenpair, basis: SpectralBasis) -> HassellTaoReport:
-    """Check that the flux energy obeys ``lam**2 ||P_H e||**2 / q_1``.
+def hassell_tao_check(dirichlet: DirichletSpectrum, basis: SpectralBasis) -> HassellTaoReport:
+    """Check that each mode's flux energy obeys ``lam**2 ||P_H e||**2 / q_1``.
 
     ``flux_sq`` is the squared boundary L2 norm of the recovered flux;
     ``bound`` uses the harmonic projection of the eigenfunction, and
@@ -497,33 +512,31 @@ def hassell_tao_check(pair: DirichletEigenpair, basis: SpectralBasis) -> Hassell
     The projection is taken onto the basis's ``M`` modes, so below full
     rank (``M`` less than the boundary-node count) it can fall short of
     ``||P_H e||`` and ``bound`` with it.  A :class:`TruncationWarning` is
-    raised when the flux then exceeds ``bound``: the basis is too short
-    for this eigenfunction, and the report does not bound its flux.
+    raised when a flux then exceeds its ``bound``: the basis is too short
+    for that eigenfunction, and the report does not bound its flux.
     """
-    norm = pair.e.norm_l2()
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"eigenfunction must be L2-normalized, got norm {norm}")
-    flux_sq = pair.flux.norm_dsigma() ** 2
-    coeffs = basis.interior_coeffs(pair.e)
-    proj_sq = float(coeffs @ coeffs)
-    q1 = float(basis.q[0])
-    bound = pair.lam**2 * proj_sq / q1
+    _check_same_mesh(dirichlet.mesh, basis.mesh, "the Dirichlet spectrum and the basis")
+    e, flux, lam = dirichlet.e_matrix, dirichlet.flux_matrix, dirichlet.lam
+    me = operators(basis.mesh).mass @ e
+    norm = np.sqrt(np.einsum("ij,ij->j", e, me))
+    if not np.all(np.abs(norm - 1.0) <= 1e-6):
+        raise ValueError(f"eigenfunctions must have unit L2 norm, got {norm.min()} to {norm.max()}")
+    flux_sq = np.einsum("i,ij,ij->j", basis.mesh.boundary_weights, flux, flux)
+    coeffs = basis.h_matrix.T @ me
+    bound_weak = lam**2 / basis.q[0]
+    bound = bound_weak * np.einsum("ij,ij->j", coeffs, coeffs)
     ratio = flux_sq / bound
-    if ratio > 1 + _HT_RATIO_TOL and basis.rank < basis.mesh.boundary_nodes.size:
+    if ratio.max() > 1 + _HT_RATIO_TOL and basis.rank < basis.mesh.boundary_nodes.size:
         warnings.warn(
-            f"flux energy is {ratio:.4g} times the truncated bound; the {basis.rank}-mode basis"
-            " misses part of the harmonic projection, extend it",
+            f"flux energy is up to {ratio.max():.4g} times the truncated bound; the"
+            f" {basis.rank}-mode basis misses part of the harmonic projection, extend it",
             TruncationWarning,
             stacklevel=2,
         )
-    return HassellTaoReport(flux_sq, bound, pair.lam**2 / q1, ratio)
+    return HassellTaoReport(flux_sq, bound, bound_weak, ratio)
 
 
-def trace_sobolev_norm(
-    g: BoundaryField,
-    s: float,
-    steklov: list[HarmonicSteklovPair],
-) -> float:
+def trace_sobolev_norm(g: BoundaryField, s: float, steklov: SteklovSpectrum) -> float:
     """Spectrally defined trace-space norm of boundary data.
 
     Computes ``(sum_j (1 + delta_j)**(2 s) |<g, s_j>|**2)**0.5`` over the
@@ -533,10 +546,11 @@ def trace_sobolev_norm(
     ``1e-6`` of the squared norm of ``g``, a :class:`TruncationWarning`
     is attached to the result.
     """
-    if abs(s) > 1:
+    if not abs(s) <= 1:
         raise ValueError(f"order s must satisfy |s| <= 1, got {s}")
-    ghat = np.array([g.inner_normalized(trace(p.s)) for p in steklov])
-    delta = np.array([p.delta for p in steklov])
+    _check_same_mesh(g.mesh, steklov.mesh, "the boundary data and the spectrum")
+    traces = steklov.s_matrix[g.mesh.boundary_nodes]
+    ghat = traces.T @ (g.mesh.boundary_weights * g.values) / g.mesh.boundary_length
     total = g.inner_normalized(g)
     tail = total - float(ghat @ ghat)
     if tail > _TRACE_TAIL_TOL * max(total, 1e-300):
@@ -545,7 +559,7 @@ def trace_sobolev_norm(
             TruncationWarning,
             stacklevel=2,
         )
-    return float(np.sqrt(np.sum((1.0 + delta) ** (2.0 * s) * ghat**2)))
+    return float(np.sqrt(np.sum((1.0 + steklov.delta) ** (2.0 * s) * ghat**2)))
 
 
 # -- basis serialization ------------------------------------------------------------
@@ -553,8 +567,6 @@ def trace_sobolev_norm(
 
 def basis_to_json_dict(basis: SpectralBasis, domain: str) -> dict:
     """Schema: domain, boundary_length, M, q, b, h, w, mesh_hash."""
-    # Hashed first: the mesh text is built and freed before any table is formatted.
-    digest = mesh_hash(basis.mesh)
     return {
         "domain": domain,
         "boundary_length": basis.boundary_length,
@@ -563,7 +575,7 @@ def basis_to_json_dict(basis: SpectralBasis, domain: str) -> dict:
         "b": basis.b_matrix.T,
         "h": basis.h_matrix.T,
         "w": basis.w_matrix.T,
-        "mesh_hash": digest,
+        "mesh_hash": mesh_hash(basis.mesh),
     }
 
 

@@ -43,9 +43,9 @@ def blocked_outputs(make_mesh) -> dict:
         basis = dbs_eigensolve(make_mesh(), 40, method=method)
         for name in ("q", "b_matrix", "h_matrix", "w_matrix"):
             out[f"dbs {method} {name}"] = getattr(basis, name)
-    pairs = harmonic_steklov_eigensolve(make_mesh(), 30)
-    out["dtn delta"] = np.array([p.delta for p in pairs])
-    out["dtn s"] = np.column_stack([p.s.values for p in pairs])
+    steklov = harmonic_steklov_eigensolve(make_mesh(), 30)
+    out["dtn delta"] = steklov.delta
+    out["dtn s"] = steklov.s_matrix
     out["verify"] = np.array([r.measured for r in run_suites(make_mesh(), ("all",))])
     return out
 

@@ -111,10 +111,8 @@ def ref_dbs_eigensolve(mesh, n_modes, method):
     return q, b_mat, h_mat, w_mat
 
 
-def ref_dirichlet_fluxes(mesh, pairs) -> np.ndarray:
+def ref_dirichlet_fluxes(mesh, vals, e_mat) -> np.ndarray:
     ops = operators(mesh)
-    vals = np.array([p.lam for p in pairs])
-    e_mat = np.column_stack([p.e.values for p in pairs])
     residual = ops.stiffness @ e_mat + ops.mass @ (e_mat * -vals)
     return residual[ops.boundary_idx] / ops.boundary_weights[:, None]
 
@@ -193,16 +191,16 @@ class TestPrimitivesMatchTheFormerSolves:
             assert np.array_equal(a, b)
 
     def test_dirichlet_fluxes(self, mesh):
-        pairs = dirichlet_laplacian_eigensolve(mesh, 4)
-        flux = np.column_stack([p.flux.values for p in pairs])
-        assert np.array_equal(flux, ref_dirichlet_fluxes(mesh, pairs))
+        dirichlet = dirichlet_laplacian_eigensolve(mesh, 4)
+        ref = ref_dirichlet_fluxes(mesh, dirichlet.lam, dirichlet.e_matrix)
+        assert np.array_equal(dirichlet.flux_matrix, ref)
 
 
 def test_shift_invert_dirichlet_fluxes(disk_mid):
     assert disk_mid.interior_nodes.size > 600  # the shift-invert branch
-    pairs = dirichlet_laplacian_eigensolve(disk_mid, 4)
-    flux = np.column_stack([p.flux.values for p in pairs])
-    assert np.array_equal(flux, ref_dirichlet_fluxes(disk_mid, pairs))
+    dirichlet = dirichlet_laplacian_eigensolve(disk_mid, 4)
+    ref = ref_dirichlet_fluxes(disk_mid, dirichlet.lam, dirichlet.e_matrix)
+    assert np.array_equal(dirichlet.flux_matrix, ref)
 
 
 # -- work and argument checks --------------------------------------------------------

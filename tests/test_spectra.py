@@ -18,7 +18,6 @@ from steklovsvd.fem import (
     normal_flux,
     operators,
     t_apply,
-    trace,
 )
 from steklovsvd.spectra import (
     basis_from_json_dict,
@@ -166,25 +165,22 @@ class TestDbsEigensolve:
 
 class TestHarmonicSteklov:
     def test_disk_spectrum(self, disk_mid):
-        pairs = harmonic_steklov_eigensolve(disk_mid, 5)
-        delta = np.array([p.delta for p in pairs])
+        delta = harmonic_steklov_eigensolve(disk_mid, 5).delta
         assert np.max(np.abs(delta - [0, 1, 1, 2, 2])) < 0.02
 
     def test_constant_first_mode_on_any_domain(self, square_coarse):
-        pairs = harmonic_steklov_eigensolve(square_coarse, 3)
-        assert abs(pairs[0].delta) < 1e-10
-        s0 = pairs[0].s.values
+        steklov = harmonic_steklov_eigensolve(square_coarse, 3)
+        assert abs(steklov.delta[0]) < 1e-10
+        s0 = steklov.s_matrix[:, 0]
         assert np.max(np.abs(s0 - s0.mean())) < 1e-9 * max(abs(s0.mean()), 1.0)
 
     def test_traces_orthonormal(self, disk_mid):
-        pairs = harmonic_steklov_eigensolve(disk_mid, 6)
-        gram = np.array(
-            [[trace(a.s).inner_normalized(trace(b.s)) for b in pairs] for a in pairs]
-        )
+        traces = harmonic_steklov_eigensolve(disk_mid, 6).s_matrix[disk_mid.boundary_nodes]
+        gram = traces.T @ (disk_mid.boundary_weights[:, None] * traces) / disk_mid.boundary_length
         assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
     def test_square_against_dense_dtn_oracle(self, square_coarse):
-        pairs = harmonic_steklov_eigensolve(square_coarse, 3)
+        steklov = harmonic_steklov_eigensolve(square_coarse, 3)
         nb = square_coarse.boundary_nodes.size
         cols = []
         for j in range(nb):
@@ -197,7 +193,7 @@ class TestHarmonicSteklov:
         delta = np.sort(sla.eigvalsh(0.5 * (sym + sym.T))) * square_coarse.boundary_length
         # eigenvalues are reported against arclength measure, not normalized
         delta = delta / square_coarse.boundary_length
-        assert pairs[1].delta == pytest.approx(delta[1], rel=1e-3)
+        assert steklov.delta[1] == pytest.approx(delta[1], rel=1e-3)
 
     def test_capacity(self, disk_coarse):
         with pytest.raises(CapacityError):
@@ -211,31 +207,27 @@ class TestHarmonicSteklov:
         with pytest.raises(CapacityError, match=f"Lanczos capacity {nb - 1} "):
             harmonic_steklov_eigensolve(mesh, nb, method="lanczos")
         for method in ("dense", "auto"):
-            assert len(harmonic_steklov_eigensolve(mesh, nb, method=method)) == nb
+            assert harmonic_steklov_eigensolve(mesh, nb, method=method).delta.size == nb
 
     def test_lanczos_agrees_with_dense(self, disk_coarse):
-        dense = np.array(
-            [p.delta for p in harmonic_steklov_eigensolve(disk_coarse, 6, method="dense")]
-        )
-        lanczos = np.array(
-            [p.delta for p in harmonic_steklov_eigensolve(disk_coarse, 6, method="lanczos")]
-        )
+        dense = harmonic_steklov_eigensolve(disk_coarse, 6, method="dense").delta
+        lanczos = harmonic_steklov_eigensolve(disk_coarse, 6, method="lanczos").delta
         # delta_1 = 0: relative agreement with a floor of one.
         assert np.max(np.abs(dense - lanczos) / np.maximum(dense, 1.0)) < 1e-8
 
 
 class TestDirichletLaplacian:
     def test_disk_ground_state(self, disk_mid):
-        pairs = dirichlet_laplacian_eigensolve(disk_mid, 1)
-        assert pairs[0].lam == pytest.approx(bessel_j_zero(0, 1) ** 2, rel=0.01)
+        lam = dirichlet_laplacian_eigensolve(disk_mid, 1).lam
+        assert lam[0] == pytest.approx(bessel_j_zero(0, 1) ** 2, rel=0.01)
 
     def test_square_ground_state(self, square_mid):
-        pairs = dirichlet_laplacian_eigensolve(square_mid, 1)
-        assert pairs[0].lam == pytest.approx(2 * math.pi**2, rel=0.01)
+        lam = dirichlet_laplacian_eigensolve(square_mid, 1).lam
+        assert lam[0] == pytest.approx(2 * math.pi**2, rel=0.01)
 
     def test_orthonormal_eigenfields(self, disk_mid):
-        pairs = dirichlet_laplacian_eigensolve(disk_mid, 6)
-        gram = np.array([[a.e.inner(b.e) for b in pairs] for a in pairs])
+        e = dirichlet_laplacian_eigensolve(disk_mid, 6).e_matrix
+        gram = e.T @ (operators(disk_mid).mass @ e)
         assert np.max(np.abs(gram - np.eye(6))) < 1e-8
 
     def test_capacity(self, disk_coarse):
@@ -249,15 +241,15 @@ class TestDirichletLaplacian:
         a_ii = ops.stiffness[interior][:, interior].toarray()
         m_ii = ops.mass[interior][:, interior].toarray()
         dense = sla.eigh(a_ii, m_ii, eigvals_only=True, subset_by_index=[0, 5])
-        lam = np.array([p.lam for p in dirichlet_laplacian_eigensolve(disk_mid, 6)])
+        lam = dirichlet_laplacian_eigensolve(disk_mid, 6).lam
         assert np.max(np.abs(lam - dense) / dense) < 1e-8
 
 
     def test_fluxes_match_the_per_mode_loop(self, disk_mid):
-        pairs = dirichlet_laplacian_eigensolve(disk_mid, 6)
-        for p in pairs:
-            f = InteriorField(disk_mid, -p.lam * p.e.values)
-            assert np.array_equal(p.flux.values, normal_flux(disk_mid, p.e, f).values)
+        dirichlet = dirichlet_laplacian_eigensolve(disk_mid, 6)
+        for lam, e, flux in zip(dirichlet.lam, dirichlet.e_matrix.T, dirichlet.flux_matrix.T):
+            f = InteriorField(disk_mid, -lam * e)
+            assert np.array_equal(flux, normal_flux(disk_mid, InteriorField(disk_mid, e), f).values)
 
 
 # (n, interior LU factor entries) by boundary node count, recorded from
@@ -353,88 +345,166 @@ class TestNormalDerivativeSeries:
         assert np.max(np.abs(out.values)) == 0.0
 
     def test_radial_mode_rellich_identity(self, disk_mid, disk_mid_basis):
-        pair = dirichlet_laplacian_eigensolve(disk_mid, 1)[0]
-        coeffs = disk_mid_basis.interior_coeffs(pair.e)
-        series = normal_derivative_series(coeffs, pair.lam, disk_mid_basis)
+        dirichlet = dirichlet_laplacian_eigensolve(disk_mid, 1)
+        lam = dirichlet.lam[0]
+        coeffs = disk_mid_basis.interior_coeffs(InteriorField(disk_mid, dirichlet.e_matrix[:, 0]))
+        series = normal_derivative_series(coeffs, lam, disk_mid_basis)
         energy = series.inner_dsigma(series)
-        assert energy == pytest.approx(2 * pair.lam, rel=0.02)
+        assert energy == pytest.approx(2 * lam, rel=0.02)
 
     def test_series_matches_recovered_flux(self, disk_mid, disk_mid_basis):
-        for pair in dirichlet_laplacian_eigensolve(disk_mid, 3):
-            coeffs = disk_mid_basis.interior_coeffs(pair.e)
-            series = normal_derivative_series(coeffs, pair.lam, disk_mid_basis)
-            diff = BoundaryField(disk_mid, series.values - pair.flux.values)
-            assert diff.norm_dsigma() / pair.flux.norm_dsigma() < 0.05
+        dirichlet = dirichlet_laplacian_eigensolve(disk_mid, 3)
+        for lam, e, flux in zip(dirichlet.lam, dirichlet.e_matrix.T, dirichlet.flux_matrix.T):
+            coeffs = disk_mid_basis.interior_coeffs(InteriorField(disk_mid, e))
+            series = normal_derivative_series(coeffs, lam, disk_mid_basis)
+            diff = BoundaryField(disk_mid, series.values - flux)
+            assert diff.norm_dsigma() / BoundaryField(disk_mid, flux).norm_dsigma() < 0.05
 
     def test_nonpositive_eigenvalue_rejected(self, disk_mid_basis):
-        with pytest.raises(ValueError):
-            normal_derivative_series(np.ones(3), -1.0, disk_mid_basis)
+        for lam in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                normal_derivative_series(np.ones(3), lam, disk_mid_basis)
 
 
 class TestHassellTao:
+    def test_matches_the_per_mode_formula(self, disk_mid, disk_mid_basis):
+        dirichlet = dirichlet_laplacian_eigensolve(disk_mid, 5)
+        report = hassell_tao_check(dirichlet, disk_mid_basis)
+        q1 = float(disk_mid_basis.q[0])
+        for j, lam in enumerate(dirichlet.lam.tolist()):
+            flux = BoundaryField(disk_mid, dirichlet.flux_matrix[:, j])
+            e = InteriorField(disk_mid, dirichlet.e_matrix[:, j])
+            coeffs = disk_mid_basis.interior_coeffs(e)
+            flux_sq, bound = flux.norm_dsigma() ** 2, lam**2 * float(coeffs @ coeffs) / q1
+            got = (report.flux_sq[j], report.bound[j], report.bound_weak[j], report.ratio[j])
+            assert got == pytest.approx((flux_sq, bound, lam**2 / q1, flux_sq / bound), rel=1e-12)
+
     def test_disk_reports(self, disk_mid, disk_mid_basis):
-        for pair in dirichlet_laplacian_eigensolve(disk_mid, 5):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", TruncationWarning)
-                report = hassell_tao_check(pair, disk_mid_basis)
-            assert report.flux_sq == pytest.approx(2 * pair.lam, rel=0.02)
-            assert report.ratio <= 1 + 1e-6
-            assert report.bound_weak >= report.bound
+        dirichlet = dirichlet_laplacian_eigensolve(disk_mid, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            report = hassell_tao_check(dirichlet, disk_mid_basis)
+        assert report.flux_sq == pytest.approx(2 * dirichlet.lam, rel=0.02)
+        assert np.all(report.ratio <= 1 + 1e-6)
+        assert np.all(report.bound_weak >= report.bound)
 
     def test_short_basis_warns_when_the_bound_fails(self):
         pentagon = build_polygon_mesh([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)], 0.1)
-        pair = dirichlet_laplacian_eigensolve(pentagon, 3)[2]
+        dirichlet = dirichlet_laplacian_eigensolve(pentagon, 3)
         with pytest.warns(TruncationWarning, match="times the truncated bound"):
-            report = hassell_tao_check(pair, dbs_eigensolve(pentagon, 2))
-        assert report.ratio == pytest.approx(428.1, rel=1e-3)
+            report = hassell_tao_check(dirichlet, dbs_eigensolve(pentagon, 2))
+        assert report.ratio[2] == pytest.approx(428.1, rel=1e-3)
 
     def test_unnormalized_field_rejected(self, disk_mid, disk_mid_basis):
-        pair = dirichlet_laplacian_eigensolve(disk_mid, 1)[0]
-        bad = type(pair)(pair.lam, InteriorField(disk_mid, 2 * pair.e.values), pair.flux)
+        good = dirichlet_laplacian_eigensolve(disk_mid, 1)
+        bad = type(good)(disk_mid, good.lam, 2 * good.e_matrix, good.flux_matrix)
         with pytest.raises(ValueError):
             hassell_tao_check(bad, disk_mid_basis)
 
 
 class TestTraceSobolevNorm:
     def test_constant_is_one_for_every_order(self, disk_mid):
-        pairs = harmonic_steklov_eigensolve(disk_mid, 8)
-        g = trace(pairs[0].s)
+        steklov = harmonic_steklov_eigensolve(disk_mid, 8)
+        g = BoundaryField(disk_mid, steklov.s_matrix[disk_mid.boundary_nodes, 0])
         for s in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            assert trace_sobolev_norm(g, s, pairs) == pytest.approx(1.0, abs=1e-8)
+            assert trace_sobolev_norm(g, s, steklov) == pytest.approx(1.0, abs=1e-8)
 
     def test_single_mode_weight(self, disk_mid):
         # the unit-trace-norm mode of r cos(theta) has eigenvalue 1, so the
         # s-norm is 2**s (through the discretized eigenvalue exactly, and
         # through the analytic one up to discretization error)
-        pairs = harmonic_steklov_eigensolve(disk_mid, 8)
-        g = trace(pairs[1].s)
+        steklov = harmonic_steklov_eigensolve(disk_mid, 8)
+        g = BoundaryField(disk_mid, steklov.s_matrix[disk_mid.boundary_nodes, 1])
         for s in (-1.0, -0.25, 0.5, 1.0):
-            norm = trace_sobolev_norm(g, s, pairs)
-            assert norm == pytest.approx((1 + pairs[1].delta) ** s, rel=1e-8)
+            norm = trace_sobolev_norm(g, s, steklov)
+            assert norm == pytest.approx((1 + steklov.delta[1]) ** s, rel=1e-8)
             assert norm == pytest.approx(2.0**s, rel=2e-3)
 
     def test_parseval_at_order_zero(self, disk_mid):
-        pairs = harmonic_steklov_eigensolve(disk_mid, 10)
+        steklov = harmonic_steklov_eigensolve(disk_mid, 10)
         rng = np.random.default_rng(2)
         g = BoundaryField(
-            disk_mid,
-            sum(c * trace(p.s).values for c, p in zip(rng.standard_normal(10), pairs)),
+            disk_mid, steklov.s_matrix[disk_mid.boundary_nodes] @ rng.standard_normal(10)
         )
-        assert trace_sobolev_norm(g, 0.0, pairs) == pytest.approx(
+        assert trace_sobolev_norm(g, 0.0, steklov) == pytest.approx(
             g.norm_normalized(), rel=1e-8
         )
 
     def test_order_out_of_range_rejected(self, disk_mid):
-        pairs = harmonic_steklov_eigensolve(disk_mid, 3)
-        with pytest.raises(ValueError):
-            trace_sobolev_norm(trace(pairs[0].s), 1.5, pairs)
+        steklov = harmonic_steklov_eigensolve(disk_mid, 3)
+        g = BoundaryField(disk_mid, steklov.s_matrix[disk_mid.boundary_nodes, 0])
+        for s in (1.5, math.nan):
+            with pytest.raises(ValueError):
+                trace_sobolev_norm(g, s, steklov)
+
+    def test_matches_the_per_mode_sum(self, disk_mid):
+        steklov = harmonic_steklov_eigensolve(disk_mid, 8)
+        nb = disk_mid.boundary_nodes.size
+        g = BoundaryField(disk_mid, np.random.default_rng(5).standard_normal(nb))
+        traces = (BoundaryField(disk_mid, s[disk_mid.boundary_nodes]) for s in steklov.s_matrix.T)
+        ghat = [g.inner_normalized(t) for t in traces]
+        for s in (-1.0, 0.0, 0.5):
+            terms = [(1 + d) ** (2 * s) * c**2 for d, c in zip(steklov.delta.tolist(), ghat)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)  # eight modes miss most of g
+                norm = trace_sobolev_norm(g, s, steklov)
+            assert norm == pytest.approx(math.sqrt(sum(terms)), rel=1e-12)
 
     def test_truncation_warning_for_rough_data(self, disk_mid):
-        pairs = harmonic_steklov_eigensolve(disk_mid, 3)
+        steklov = harmonic_steklov_eigensolve(disk_mid, 3)
         rng = np.random.default_rng(4)
         g = BoundaryField(disk_mid, rng.standard_normal(disk_mid.boundary_nodes.size))
         with pytest.warns(TruncationWarning):
-            trace_sobolev_norm(g, 0.0, pairs)
+            trace_sobolev_norm(g, 0.0, steklov)
+
+
+class TestSpectrumInputs:
+    @pytest.mark.parametrize("other", ["moved", "refined"])
+    def test_inputs_from_another_mesh_rejected(self, other):
+        # The moved mesh has the same sizes, so array shapes alone cannot tell.
+        mesh = disk_mesh(1.0, 0.2)
+        if other == "moved":
+            other = transform(mesh, rotation=0.7, offset=(0.3, -1.2), scale=2)
+        else:
+            other = refine(mesh)
+        steklov = harmonic_steklov_eigensolve(mesh, 6)
+        with pytest.raises(ValueError, match="come from different meshes"):
+            trace_sobolev_norm(BoundaryField.constant(other, 1.0), 0.0, steklov)
+        basis = dbs_eigensolve(mesh, 6)
+        with pytest.raises(ValueError, match="come from different meshes"):
+            hassell_tao_check(dirichlet_laplacian_eigensolve(other, 3), basis)
+
+    def test_an_equal_mesh_built_again_is_accepted(self):
+        mesh, again = disk_mesh(1.0, 0.2), disk_mesh(1.0, 0.2)
+        steklov = harmonic_steklov_eigensolve(mesh, 6)
+        g = BoundaryField.constant(again, 1.0)
+        assert trace_sobolev_norm(g, 0.5, steklov) == pytest.approx(1.0, abs=1e-8)
+        basis = dbs_eigensolve(mesh, 6)
+        with warnings.catch_warnings():
+            # Six modes fall just short of the bound's projection here.
+            warnings.simplefilter("ignore", TruncationWarning)
+            ratios = [
+                hassell_tao_check(dirichlet_laplacian_eigensolve(m, 3), basis).ratio
+                for m in (mesh, again)
+            ]
+        assert ratios[0].shape == (3,) and np.array_equal(*ratios)
+
+    def test_per_mode_views_are_the_array_columns(self, disk_mid):
+        # perfbench/workloads.py reads exactly these two expressions.
+        steklov = harmonic_steklov_eigensolve(disk_mid, 5)
+        dirichlet = dirichlet_laplacian_eigensolve(disk_mid, 4)
+        delta = [p.delta for p in steklov]
+        lam = [p.lam for p in dirichlet]
+        assert all(type(x) is float for x in delta + lam)
+        assert delta == steklov.delta.tolist() and lam == dirichlet.lam.tolist()
+        for j, p in enumerate(steklov):
+            assert p.s.mesh is disk_mid
+            assert p.s.values.tobytes() == steklov.s_matrix[:, j].tobytes()
+        for j, p in enumerate(dirichlet):
+            assert p.e.mesh is p.flux.mesh is disk_mid
+            assert p.e.values.tobytes() == dirichlet.e_matrix[:, j].tobytes()
+            assert p.flux.values.tobytes() == dirichlet.flux_matrix[:, j].tobytes()
+        assert (j, len(delta)) == (3, 5)
 
 
 class TestBasisSerialization:

@@ -143,7 +143,7 @@ def _sampled_checks_per_sample(mesh, n_modes):
         sym = max(sym, abs(t1.inner_dsigma(g2) - g1.inner_dsigma(t2)) / scale)
         pos = min(pos, t1.inner_dsigma(g1) / g1.inner_dsigma(g1))
     q0 = float(dbs_eigensolve(mesh, n_modes).q[0])
-    lam1 = dirichlet_laplacian_eigensolve(mesh, 1)[0].lam
+    lam1 = dirichlet_laplacian_eigensolve(mesh, 1).lam[0]
     stiffness = operators(mesh).stiffness
     flux_ratio = norm_ratio = 0.0
     for _ in range(50):
