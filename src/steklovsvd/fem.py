@@ -149,13 +149,15 @@ _log = logging.getLogger("steklovsvd")
 # some wider ones differ from a 128-column block; blocks of 16-128 give the
 # same eigensolver arrays), so the fixed layout is what keeps results
 # independent of the worker count.  At most ``_WORKERS`` blocks are in
-# flight, each solved straight into its columns of the result.
-_SOLVE_BLOCK = 32
-# Boundary columns per extension when ``AssembledOperators.boundary_form``
-# builds the Schur form alone (two solve blocks), and rows per block of the
-# Gram product, one block at a time.  Two product blocks in flight would
-# hold two ``n x 64`` mass products, and 32-row blocks make BLAS sum small
-# products in another order.
+# flight, each solved straight into its columns of the result: at 16
+# columns, a block's right-hand side and SuperLU's copy and work array stay
+# small next to the result.
+_SOLVE_BLOCK = 16
+# Rows per block of the Gram form's GEMM ``(M E[:, cols])^T E[:, :stop]``,
+# one block at a time, and nothing else: the mass product ``M E[:, cols]``
+# is formed one solve block at a time into an ``n x _FORM_BLOCK`` buffer.
+# Narrower row blocks make BLAS sum small products in another order (32 and
+# 16 rows change last bits), and two blocks in flight would hold two buffers.
 _FORM_BLOCK = 64
 
 
@@ -428,12 +430,15 @@ class AssembledOperators:
         (column ``j`` extends the unit vector of boundary node ``j``).  Both
         forms are ``nb x nb``, read-only and built at most once.  Built
         alone, the Schur form (the stiffness matrix's boundary rows applied
-        to ``E``) extends ``_FORM_BLOCK`` columns of ``E`` at a time, so it
-        never holds more of ``E``.  The Gram form needs all of ``E``
-        (``n x nb``, dropped on return), extended in one call; it is
-        multiplied out on and below its diagonal ``_FORM_BLOCK`` rows at a
-        time and mirrored, so it is exactly symmetric, and its extension
-        also yields the Schur form.
+        to ``E``) extends two solve blocks of ``E`` per call, so it never
+        holds more of ``E``.  The Gram form needs all of ``E`` (``n x nb``,
+        dropped on return), extended in one call; it is multiplied out on
+        and below its diagonal ``_FORM_BLOCK`` rows at a time and mirrored,
+        so it is exactly symmetric, and its extension also yields the Schur
+        form.  Each row block's mass product ``M E[:, cols]`` is formed
+        ``_SOLVE_BLOCK`` columns at a time into one reused ``n x
+        _FORM_BLOCK`` buffer, so beside ``E`` and the forms the build holds
+        that buffer and thin blocks only.
         """
         if kind not in ("gram", "schur"):
             raise ValueError(f"unknown boundary form {kind!r}")
@@ -447,11 +452,11 @@ class AssembledOperators:
 
     def _extend_identity(self, gram: bool) -> dict[str, np.ndarray]:
         nb = self.boundary_idx.size
-        blocks = _column_blocks(nb, _FORM_BLOCK)
         k_b = self.stiffness_b
         if not gram:
+            # Two solve blocks per call keep both workers busy.
             schur = np.empty((nb, nb))
-            for cols in blocks:
+            for cols in _column_blocks(nb, 2 * _SOLVE_BLOCK):
                 unit = np.zeros((nb, cols.stop - cols.start))
                 unit[cols] = np.eye(cols.stop - cols.start)
                 schur[:, cols] = k_b @ self.extend_boundary_columns(unit)
@@ -465,9 +470,16 @@ class AssembledOperators:
             diagonal[nb - 1 :], (nb, nb), (-step, step), writeable=False
         )
         ext = self.extend_boundary_columns(identity)
+        n = self.n_vertices
+        blocks = _column_blocks(nb, _FORM_BLOCK)
         form = np.empty((nb, nb))
+        buffer = np.empty(n * max(cols.stop - cols.start for cols in blocks))
         for cols in blocks:
-            form[cols, : cols.stop] = (self.mass @ ext[:, cols]).T @ ext[:, : cols.stop]
+            # A contiguous n x width view, as the whole product was: same GEMM bits.
+            m_cols = buffer[: n * (cols.stop - cols.start)].reshape(n, -1)
+            for part in _column_blocks(m_cols.shape[1], _SOLVE_BLOCK):
+                m_cols[:, part] = self.mass @ ext[:, cols][:, part]
+            form[cols, : cols.stop] = m_cols.T @ ext[:, : cols.stop]
         upper = np.triu_indices(nb, 1)
         form[upper] = form.T[upper]
         return {"gram": form, "schur": k_b @ ext}

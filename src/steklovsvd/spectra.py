@@ -527,9 +527,11 @@ def hassell_tao_check(dirichlet: DirichletSpectrum, basis: SpectralBasis) -> Has
     bound = bound_weak * np.einsum("ij,ij->j", coeffs, coeffs)
     ratio = flux_sq / bound
     if ratio.max() > 1 + _HT_RATIO_TOL and basis.rank < basis.mesh.boundary_nodes.size:
+        # The excess, not the ratio: a ratio of 1 + 2e-6 would print as 1.
         warnings.warn(
-            f"flux energy is up to {ratio.max():.4g} times the truncated bound; the"
-            f" {basis.rank}-mode basis misses part of the harmonic projection, extend it",
+            f"flux energy exceeds the truncated bound by up to {ratio.max() - 1:.4g} times"
+            f" the bound; the {basis.rank}-mode basis misses part of the harmonic"
+            " projection, extend it",
             TruncationWarning,
             stacklevel=2,
         )

@@ -304,12 +304,19 @@ def _poisson_suite(
 ) -> list[CheckResult]:
     out = []
     svd = ps.PoissonSvd.from_basis(basis)
-    worst = 0.0
-    for j in range(min(10, svd.rank)):
-        ext = ps.extend_harmonic_svd(BoundaryField(mesh, basis.w_matrix[:, j]), svd)
-        target = np.sqrt(svd.boundary_length / basis.q[j]) * basis.h_matrix[:, j]
-        worst = max(worst, InteriorField(mesh, ext.values - target).norm_l2())
-    out.append(_leq("poisson.svd_maps_right_to_left", worst, 1e-8))
+    mass = operators(mesh).mass
+    length, weights = svd.boundary_length, mesh.boundary_weights
+
+    def l2_norms(v):
+        return np.sqrt(np.maximum(np.einsum("ij,ij->j", v, mass @ v), 0.0))
+
+    # E w_j for the first modes, from their coefficient matrix, against
+    # sqrt(|bdy| / q_j) h_j.
+    k = min(10, svd.rank)
+    coeffs = basis.w_matrix.T @ (weights[:, None] * basis.w_matrix[:, :k]) / length
+    ext = basis.h_matrix @ (np.sqrt(length / basis.q)[:, None] * coeffs)
+    target = basis.h_matrix[:, :k] * np.sqrt(length / basis.q[:k])
+    out.append(_leq("poisson.svd_maps_right_to_left", float(np.max(l2_norms(ext - target))), 1e-8))
     sv = svd.singular_values
     out.append(_leq("poisson.singular_values_nonincreasing", float(np.max(np.diff(sv))), 1e-12))
     out.append(_leq("poisson.singular_values_decay", float(sv[-1]), 0.5 * float(sv[0])))
@@ -324,12 +331,12 @@ def _poisson_suite(
     tail = ps.truncation_error_report(BoundaryField(mesh, basis.w_matrix[:, m]), svd, m)
     out.append(_leq("poisson.single_tail_mode_sharp", abs(tail.ratio - 1.0), 1e-6))
 
+    # Column r - 1 of the partial sums: the rank-r truncated extension of g.
     g = BoundaryField(mesh, rng.standard_normal(nb))
-    full = harmonic_extension(mesh, g)
-    errors = []
-    for mm in range(1, min(svd.rank, 12) + 1):
-        trunc = ps.extend_harmonic_svd(g, svd, mm)
-        errors.append(InteriorField(mesh, full.values - trunc.values).norm_l2())
+    k = min(svd.rank, 12)
+    terms = np.sqrt(length / basis.q[:k]) * basis.boundary_coeffs(g)[:k]
+    truncated = np.cumsum(basis.h_matrix[:, :k] * terms, axis=1)
+    errors = l2_norms(harmonic_extension(mesh, g).values[:, None] - truncated)
     out.append(
         _leq(
             "poisson.truncation_error_monotone",

@@ -2,6 +2,7 @@
 
 import logging
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from steklovsvd import (
     build_polygon_mesh,
     dbs_eigensolve,
+    dirichlet_laplacian_eigensolve,
     disk_mesh,
     fem,
     harmonic_steklov_eigensolve,
@@ -39,14 +41,23 @@ def blocked_outputs(make_mesh) -> dict:
     out["gram"] = ops.boundary_form("gram")
     out["schur"] = ops.boundary_form("schur")
     out["schur alone"] = operators(make_mesh()).boundary_form("schur")
+    out.update(eigensolver_outputs(make_mesh))
+    out["verify"] = np.array([r.measured for r in run_suites(make_mesh(), ("all",))])
+    return out
+
+
+def eigensolver_outputs(make_mesh) -> dict:
+    """The arrays of every eigensolver, each on a fresh mesh."""
+    out = {}
     for method in ("dense", "lanczos"):
         basis = dbs_eigensolve(make_mesh(), 40, method=method)
         for name in ("q", "b_matrix", "h_matrix", "w_matrix"):
             out[f"dbs {method} {name}"] = getattr(basis, name)
-    steklov = harmonic_steklov_eigensolve(make_mesh(), 30)
-    out["dtn delta"] = steklov.delta
-    out["dtn s"] = steklov.s_matrix
-    out["verify"] = np.array([r.measured for r in run_suites(make_mesh(), ("all",))])
+        steklov = harmonic_steklov_eigensolve(make_mesh(), 30, method=method)
+        out[f"dtn {method} delta"], out[f"dtn {method} s"] = steklov.delta, steklov.s_matrix
+    dirichlet = dirichlet_laplacian_eigensolve(make_mesh(), 5)
+    out["dirichlet lam"], out["dirichlet e"] = dirichlet.lam, dirichlet.e_matrix
+    out["dirichlet flux"] = dirichlet.flux_matrix
     return out
 
 
@@ -93,13 +104,50 @@ def test_partition_is_fixed_and_has_no_one_column_block():
         widths = [b.stop - b.start for b in blocks]
         assert max(widths) <= fem._SOLVE_BLOCK + 1
         assert width == 1 or min(widths) >= 2, width
-        # Extending _FORM_BLOCK columns per call solves the blocks of one call.
+        # The Schur form alone extends two blocks per call: the same blocks.
         regrouped = [
             slice(group.start + b.start, group.start + b.stop)
-            for group in fem._column_blocks(width, fem._FORM_BLOCK)
+            for group in fem._column_blocks(width, 2 * fem._SOLVE_BLOCK)
             for b in fem._column_blocks(group.stop - group.start, fem._SOLVE_BLOCK)
         ]
         assert regrouped == blocks, width
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_solve_block_width_does_not_change_eigensolver_arrays(monkeypatch, name):
+    results = {}
+    for width in (16, 32, 64, 128):
+        monkeypatch.setattr(fem, "_SOLVE_BLOCK", width)
+        results[width] = eigensolver_outputs(MESHES[name])
+    reference = results.pop(16)
+    for width, out in results.items():
+        assert out.keys() == reference.keys()
+        for key, expected in reference.items():
+            assert out[key].tobytes() == expected.tobytes(), (width, key)
+
+
+@pytest.mark.parametrize("workers", [1, None], ids=["one_worker", "default_pool"])
+def test_gram_form_holds_the_extension_and_thin_blocks(monkeypatch, workers):
+    # Beside E and the two forms: one n x _FORM_BLOCK mass-product buffer
+    # and the blocks in flight (a _SOLVE_BLOCK-column mass product and its
+    # copy of E's columns, or a solve block's right-hand side and
+    # solution).  Multiplying a whole 64-column slice of E read 1.38 MB
+    # here, and the bound is 1.19 MB.
+    if workers is not None:
+        monkeypatch.setattr(fem, "_WORKERS", workers)
+    mesh = disk_mesh(1.0, 0.05)
+    ops = operators(mesh)
+    n, nb = ops.n_vertices, ops.boundary_idx.size
+    ops.extend_boundary_columns(np.ones((nb, 2)))  # the LU and the permuted K_IB, built once
+    tracemalloc.start()
+    try:
+        ops.boundary_form("gram")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = 8 * n * nb + 2 * 8 * nb * nb  # E, the Gram form and the Schur form
+    blocks = 8 * n * (fem._FORM_BLOCK + 2 * fem._SOLVE_BLOCK)
+    assert peak <= held + blocks + 64 * 1024
 
 
 def test_a_pool_thread_runs_nested_blocks_inline(monkeypatch):

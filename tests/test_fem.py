@@ -410,9 +410,9 @@ class TestNestedDissection:
 
     def test_block_solves_copy_no_permuted_block(self, monkeypatch):
         # One worker, so one block is in flight.  Then the peak is the result
-        # u plus one block's right-hand side and solution: 1.44 MB of traced
-        # allocations on the COLAMD code, which solved in ascending order.  A
-        # permuted copy of a block adds another 0.34 MB.
+        # u (0.75 MB) plus one block's right-hand side and solution: 1.10 MB
+        # of traced allocations with 16-column blocks.  A permuted copy of a
+        # block adds another 0.17 MB.
         monkeypatch.setattr(fem, "_WORKERS", 1)
         mesh = disk_mesh(1.0, 0.05)
         ops = operators(mesh)

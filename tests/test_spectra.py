@@ -391,9 +391,24 @@ class TestHassellTao:
     def test_short_basis_warns_when_the_bound_fails(self):
         pentagon = build_polygon_mesh([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)], 0.1)
         dirichlet = dirichlet_laplacian_eigensolve(pentagon, 3)
-        with pytest.warns(TruncationWarning, match="times the truncated bound"):
+        with pytest.warns(TruncationWarning, match=r"exceeds the truncated bound by up to 427\.1 "):
             report = hassell_tao_check(dirichlet, dbs_eigensolve(pentagon, 2))
         assert report.ratio[2] == pytest.approx(428.1, rel=1e-3)
+
+    def test_warning_states_the_excess(self):
+        # A ratio of 1 + 1.7e-4, which the ratio's own 4 digits print as 1.
+        mesh = disk_mesh(1.0, 0.2)
+        dirichlet = dirichlet_laplacian_eigensolve(mesh, 3)
+        with pytest.warns(TruncationWarning) as record:
+            report = hassell_tao_check(dirichlet, dbs_eigensolve(mesh, 6))
+        excess = float(report.ratio.max()) - 1.0
+        assert 1e-6 < excess < 1e-3
+        assert f"{excess + 1:.4g}" == "1"
+        messages = [str(w.message) for w in record]
+        assert messages == [
+            f"flux energy exceeds the truncated bound by up to {excess:.4g} times the bound;"
+            " the 6-mode basis misses part of the harmonic projection, extend it"
+        ]
 
     def test_unnormalized_field_rejected(self, disk_mid, disk_mid_basis):
         good = dirichlet_laplacian_eigensolve(disk_mid, 1)

@@ -10,11 +10,13 @@ from steklovsvd import (
 from steklovsvd.fem import (
     BoundaryField,
     InteriorField,
+    harmonic_extension,
     normal_flux,
     operators,
     solve_dirichlet_poisson,
     t_apply,
 )
+from steklovsvd.poisson import PoissonSvd, extend_harmonic_svd
 from steklovsvd.verify import SUITE_NAMES, run_suites
 
 
@@ -181,3 +183,44 @@ def test_block_sampled_checks_match_per_sample_loops(domain):
     # Rounding noise either way: a block of columns sums in another order.
     assert measured["solver.t_apply_symmetric"] < 1e-15
     assert reference["solver.t_apply_symmetric"] < 1e-15
+
+
+def _poisson_per_mode_loops(mesh, basis):
+    """The two matrix-form poisson checks as the per-mode loops they replace.
+
+    Returns each loop's value and the scale of what it subtracts: the
+    largest field norm, and the rank-1 truncation error.  The boundary data
+    is the stream's 21st draw, as ``run_suites(mesh, ("poisson",))`` draws.
+    """
+    svd = PoissonSvd.from_basis(basis)
+    worst = scale = 0.0
+    for j in range(min(10, svd.rank)):
+        ext = extend_harmonic_svd(BoundaryField(mesh, basis.w_matrix[:, j]), svd)
+        target = np.sqrt(svd.boundary_length / basis.q[j]) * basis.h_matrix[:, j]
+        worst = max(worst, InteriorField(mesh, ext.values - target).norm_l2())
+        scale = max(scale, InteriorField(mesh, target).norm_l2())
+    rng = np.random.default_rng(0)
+    nb = mesh.boundary_nodes.size
+    for _ in range(20):
+        rng.standard_normal(nb)
+    g = BoundaryField(mesh, rng.standard_normal(nb))
+    full = harmonic_extension(mesh, g)
+    errors = [
+        InteriorField(mesh, full.values - extend_harmonic_svd(g, svd, r).values).norm_l2()
+        for r in range(1, min(svd.rank, 12) + 1)
+    ]
+    return {
+        "poisson.svd_maps_right_to_left": (worst, scale),
+        "poisson.truncation_error_monotone": (float(np.max(np.diff(errors))), errors[0]),
+    }
+
+
+@pytest.mark.parametrize("domain", ["disk", "pentagon"])
+def test_poisson_matrix_checks_match_per_mode_loops(domain):
+    mesh = disk_mesh(1.0, 0.1) if domain == "disk" else build_polygon_mesh(PENTAGON, 0.2)
+    expected = _poisson_per_mode_loops(mesh, dbs_eigensolve(mesh, 12))
+    measured = {r.name: r.measured for r in run_suites(mesh, ("poisson",), n_modes=12)}
+    # Both values are differences of nearly equal fields, so they agree
+    # relative to the scale of those fields, not to themselves.
+    for name, (value, scale) in expected.items():
+        assert abs(measured[name] - value) <= 1e-12 * scale, name
