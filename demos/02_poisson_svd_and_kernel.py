@@ -18,7 +18,7 @@ from steklovsvd.fem import BoundaryField
 from steklovsvd.poisson import (
     PoissonSvd,
     extension_norm,
-    kernel_slice_csv,
+    iter_kernel_slice_csv,
     poisson_kernel_eval,
     truncation_error_report,
 )
@@ -57,6 +57,6 @@ print(f"g = w_11, M = 10: ratio = {tail.ratio:.12f}")
 
 os.makedirs("demos/output", exist_ok=True)
 path = "demos/output/poisson_kernel_slice.csv"
-with open(path, "w") as fh:
-    fh.write(kernel_slice_csv(svd, (0.5, 0.0), 40))
+with open(path, "wb") as fh:
+    fh.writelines(iter_kernel_slice_csv(svd, (0.5, 0.0), 40))
 print(f"\nkernel slice P_40((0.5, 0), .) written to {path}")

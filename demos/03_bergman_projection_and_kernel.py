@@ -18,7 +18,7 @@ from steklovsvd.bergman import (
     TruncatedKernel,
     bergman_project,
     biharmonic_potential,
-    kernel_grid_csv,
+    iter_kernel_grid_csv,
 )
 from steklovsvd.fem import InteriorField, operators
 
@@ -56,6 +56,6 @@ print(f"decomposition converged: {dec.converged}")
 
 os.makedirs("demos/output", exist_ok=True)
 path = "demos/output/bergman_kernel_grid.csv"
-with open(path, "w") as fh:
-    fh.write(kernel_grid_csv(basis, (0.3, 0.0)))
+with open(path, "wb") as fh:
+    fh.writelines(iter_kernel_grid_csv(basis, (0.3, 0.0)))
 print(f"\nkernel slice R_M((0.3, 0), .) on the vertices written to {path}")

@@ -6,14 +6,15 @@ shortest decimal that reads back to the same double (Steele and White
 and every finite float64 reads back bit for bit.  Text tables (the CSVs,
 the mesh's vertex lines, the domain descriptors) keep ``%.17g``.
 
-:func:`iter_floats` turns a ``%.17g`` table into text and
-:func:`iter_canonical` a payload into JSON; both yield ASCII ``bytes``
-parts of at most ``_BLOCK`` values (a text table's row wider than that is
-one part), and :func:`format_floats` and :func:`dumps_canonical` join
-those parts.  In canonical JSON a float
-table is a float64 ndarray of one or two dimensions, written a block of
-one row at a time; lists, tuples and other arrays are written element by
-element, with the same bytes.
+A ``%.17g`` text table has one shape: a 2-D float array, whose values
+join with a separator and whose rows join with a row separator.
+:func:`iter_floats` turns it into text and :func:`iter_canonical` a
+payload into JSON; both yield ASCII ``bytes`` parts of at most ``_BLOCK``
+values (a text row wider than that is one part), and
+:func:`format_floats` and :func:`dumps_canonical` join those parts.  In
+canonical JSON a float table is a float64 ndarray of one or two
+dimensions, written a block of one row at a time; lists, tuples and other
+arrays are written element by element, with the same bytes.
 
 Writes go through a temporary file in the target directory followed by an
 atomic rename; files written together appear together or not at all.
@@ -24,7 +25,6 @@ the file's bytes are exactly ``dumps_canonical(obj)``.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -55,44 +55,30 @@ def _fill_template(template: str, values: tuple) -> str:
 _BLOCK = 2048
 
 
-def iter_floats(rows, sep: str = ",", row_sep: str | None = None):
-    """The ``%.17g`` renderings of a float table as ASCII bytes parts.
+def iter_floats(table: np.ndarray, sep: str, row_sep: str):
+    """The ``%.17g`` renderings of a 2-D float array as ASCII bytes parts.
 
-    ``rows`` is a float array (1-D, or 2-D with ``row_sep``) or a sequence
-    of float rows, which may be ragged: values join with ``sep`` and rows
-    with ``row_sep``.  Without ``row_sep``, or as a 1-D array, ``rows`` is
-    one flat row, cut into pieces of ``_BLOCK`` values.  Each part is one
-    ``%`` call over ``_BLOCK // width`` rows, or over one row or piece
-    when that is wider.  Raises ``ValueError`` naming the first non-finite
-    value in row-major order, once the parts before it have been yielded.
+    Values join with ``sep`` and rows with ``row_sep``.  Each part is one
+    ``%`` call over ``_BLOCK // width`` rows, or over one row when that is
+    wider.  Raises ``ValueError`` naming the first non-finite value in
+    row-major order, once the parts before it have been yielded.
     """
-    if row_sep is None or isinstance(rows, np.ndarray) and rows.ndim == 1:
-        rows, row_sep = [rows[a : a + _BLOCK] for a in range(0, len(rows), _BLOCK)], sep
-    step = max(1, _BLOCK // max(1, len(rows[0]) if len(rows) else 1))
-    for start in range(0, len(rows), step):
-        chunk = rows[start : start + step]
-        if isinstance(chunk, np.ndarray):
-            template = row_sep.join([sep.join(("%.17g",) * chunk.shape[1])] * chunk.shape[0])
-            values = chunk.ravel().tolist()
-        else:
-            chunk = [r.tolist() if isinstance(r, np.ndarray) else r for r in chunk]
-            template = row_sep.join(sep.join(("%.17g",) * len(r)) for r in chunk)
-            values = itertools.chain.from_iterable(chunk)
-        yield (row_sep * (start > 0) + _fill_template(template, tuple(values))).encode()
+    rows, width = table.shape
+    step = max(1, _BLOCK // max(1, width))
+    for start in range(0, rows, step):
+        chunk = table[start : start + step]
+        template = row_sep.join([sep.join(("%.17g",) * width)] * chunk.shape[0])
+        text = _fill_template(template, tuple(chunk.ravel().tolist()))
+        yield (row_sep * (start > 0) + text).encode()
 
 
-def decode_parts(parts) -> str:
-    """The text of an iterable of bytes parts, joined."""
-    return b"".join(parts).decode()
-
-
-def format_floats(rows, sep: str = ",", row_sep: str | None = None) -> str:
+def format_floats(table: np.ndarray, sep: str, row_sep: str) -> str:
     """The text of :func:`iter_floats`: ``%.17g`` renderings, byte for byte."""
-    return decode_parts(iter_floats(rows, sep, row_sep))
+    return b"".join(iter_floats(table, sep, row_sep)).decode()
 
 
 def fmt_float(x: float) -> str:
-    return format_floats((float(x),))
+    return _fill_template("%.17g", (float(x),))
 
 
 def _json_table(table: np.ndarray):
@@ -167,7 +153,7 @@ def iter_canonical(obj):
 
 def dumps_canonical(obj) -> str:
     """Compact JSON with fixed key order and shortest round-trip floats."""
-    return decode_parts(iter_canonical(obj))
+    return b"".join(iter_canonical(obj)).decode()
 
 
 def atomic_write_text(path: str, text, *more: tuple):

@@ -349,7 +349,8 @@ def build_oracle_table() -> list[DiskMode]:
 
 
 def oracle_table_csv(rows: list[DiskMode]) -> str:
-    floats = format_floats([(r.radius, r.eigenvalue) for r in rows], ",", "\n").split("\n")
+    pairs = np.reshape([(r.radius, r.eigenvalue) for r in rows], (-1, 2))
+    floats = format_floats(pairs, ",", "\n").split("\n")
     lines = [f"{r.family},{r.k},{r.m},{r.parity},{pair}\n" for r, pair in zip(rows, floats)]
     return "family,k,m,parity,R,eigenvalue\n" + "".join(lines)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._serialize import decode_parts, iter_csv
+from ._serialize import iter_csv
 from .errors import CapacityError, TruncationWarning
 from .fem import BoundaryField, InteriorField, operators
 from .spectra import SpectralBasis
@@ -42,7 +42,6 @@ __all__ = [
     "neumann_biharmonic_extension",
     "harmonic_trace",
     "iter_kernel_grid_csv",
-    "kernel_grid_csv",
 ]
 
 
@@ -185,8 +184,3 @@ def iter_kernel_grid_csv(basis: SpectralBasis, x, m: int | None = None):
     vertices, as bytes parts; the slice is computed before this returns."""
     values = TruncatedKernel(basis, m).values_on_vertices(x)
     return iter_csv("x,y,value", np.column_stack([basis.mesh.vertices, values]))
-
-
-def kernel_grid_csv(basis: SpectralBasis, x, m: int | None = None) -> str:
-    """The text of :func:`iter_kernel_grid_csv`."""
-    return decode_parts(iter_kernel_grid_csv(basis, x, m))

@@ -176,8 +176,12 @@ class Mesh:
             raise ValueError("triangles must have shape (t, 3)")
         if t.size and (t.min() < 0 or t.max() >= v.shape[0]):
             raise ValueError("triangle index out of range")
+        # Triangle corners only: an unused vertex adds no area, and the text
+        # writer names it if it is not finite.
+        if not np.isfinite(v).all(axis=1)[t].all():
+            raise ValueError("vertex coordinates are not finite")
         areas = _signed_areas(v, t) if areas is None else np.array(areas, dtype=float)
-        if np.any(areas <= 0):
+        if not np.all(areas > 0):
             raise ValueError("all triangles must be counterclockwise with positive area")
 
         self.vertices = v
@@ -404,6 +408,14 @@ def _require_positive(name: str, value: float):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _require_finite_counts(counts, target_h: float):
+    """Refuse a spacing that gives the domain a non-finite number of points."""
+    if not np.all(np.isfinite(counts)):
+        raise ValueError(
+            f"the domain is too large for target_h={target_h!r}: its point count is not finite"
+        )
+
+
 _GRADING = 0.8
 
 
@@ -459,7 +471,9 @@ def disk_mesh(radius: float, target_h: float) -> Mesh:
     """Disk mesh with boundary spacing close to ``target_h``."""
     _require_positive("radius", radius)
     _require_positive("target_h", target_h)
-    n_angular = max(12, int(round(2.0 * math.pi * radius / target_h)))
+    turns = 2.0 * math.pi * radius / target_h
+    _require_finite_counts(turns, target_h)
+    n_angular = max(12, int(round(turns)))
     n_radial = max(2, int(round(radius / target_h)))
     return build_disk_mesh(radius, n_radial, n_angular)
 
@@ -496,7 +510,8 @@ def build_polygon_mesh(vertices, target_h: float) -> Mesh:
     ValueError
         For clockwise, self-intersecting, or non-convex input (the latter
         with an explicit "convexity required" message), a non-finite
-        corner, or a non-positive or non-finite ``target_h``.
+        corner, a non-positive or non-finite ``target_h``, or a
+        ``target_h`` that gives the polygon a non-finite point count.
     """
     corners = np.asarray(vertices, dtype=float)
     if corners.ndim != 2 or corners.shape[1] != 2 or corners.shape[0] < 3:
@@ -505,13 +520,20 @@ def build_polygon_mesh(vertices, target_h: float) -> Mesh:
         raise ValueError("polygon corners must be finite")
     _require_positive("target_h", target_h)
     nxt = np.roll(corners, -1, axis=0)
+    xmin, ymin = corners.min(axis=0)
+    xmax, ymax = corners.max(axis=0)
+    dy = target_h * math.sqrt(3.0) / 2.0
+    with np.errstate(over="ignore"):
+        # An overflow here gives an infinite count, refused below.
+        edges = nxt - corners
+        spans = np.hypot(*edges.T) / target_h, (xmax - xmin) / target_h, (ymax - ymin) / dy
+    _require_finite_counts(np.hstack(spans), target_h)
     signed_area = 0.5 * float(np.sum(corners[:, 0] * nxt[:, 1] - nxt[:, 0] * corners[:, 1]))
     if signed_area <= 0:
         raise ValueError(
             "polygon must be simple with counterclockwise orientation "
             f"(signed area {signed_area!r})"
         )
-    edges = nxt - corners
     prev_edges = np.roll(edges, 1, axis=0)
     cross = prev_edges[:, 0] * edges[:, 1] - prev_edges[:, 1] * edges[:, 0]
     if np.any(cross <= 0):
@@ -523,9 +545,6 @@ def build_polygon_mesh(vertices, target_h: float) -> Mesh:
         boundary_pts.append(a + (b - a) * (np.arange(n_seg) / n_seg)[:, None])
     boundary_pts = np.concatenate(boundary_pts)
 
-    xmin, ymin = corners.min(axis=0)
-    xmax, ymax = corners.max(axis=0)
-    dy = target_h * math.sqrt(3.0) / 2.0
     rows = int(math.floor((ymax - ymin) / dy)) + 1
     interior = []
     for r in range(rows):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._serialize import decode_parts, iter_csv
+from ._serialize import iter_csv
 from .errors import CapacityError, OutsideDomainError
 from .fem import BoundaryField, InteriorField, harmonic_extension
 from .spectra import SpectralBasis
@@ -35,7 +35,6 @@ __all__ = [
     "poisson_kernel_eval",
     "kernel_slice",
     "iter_kernel_slice_csv",
-    "kernel_slice_csv",
     "extension_norm",
     "TruncationReport",
     "truncation_error_report",
@@ -128,11 +127,6 @@ def iter_kernel_slice_csv(svd: PoissonSvd, x, m: int | None = None):
     """CSV ``z_arclength,value`` of the kernel slice at fixed interior ``x``,
     as bytes parts; the slice is computed before this returns."""
     return iter_csv("z_arclength,value", np.column_stack(kernel_slice(svd, x, m)))
-
-
-def kernel_slice_csv(svd: PoissonSvd, x, m: int | None = None) -> str:
-    """The text of :func:`iter_kernel_slice_csv`."""
-    return decode_parts(iter_kernel_slice_csv(svd, x, m))
 
 
 def extension_norm(svd: PoissonSvd) -> float:

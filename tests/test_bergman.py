@@ -9,7 +9,7 @@ from steklovsvd.bergman import (
     bergman_project,
     biharmonic_potential,
     harmonic_trace,
-    kernel_grid_csv,
+    iter_kernel_grid_csv,
     neumann_biharmonic_extension,
     reproducing_kernel_eval,
 )
@@ -135,7 +135,7 @@ class TestReproducingKernel:
         assert errors[0] > 0.1  # mode not yet captured at rank 1
 
     def test_grid_csv_shape(self, disk_mid_basis):
-        text = kernel_grid_csv(disk_mid_basis, (0.1, 0.2), 5)
+        text = b"".join(iter_kernel_grid_csv(disk_mid_basis, (0.1, 0.2), 5)).decode()
         lines = text.strip().splitlines()
         assert lines[0] == "x,y,value"
         assert len(lines) == disk_mid_basis.mesh.vertices.shape[0] + 1

@@ -473,6 +473,17 @@ class TestMeshAndBasisFileErrors:
         err = assert_one_input_error(code, capsys, recwarn, out)
         assert err.startswith("error: cannot factorize the interior stiffness block: ")
 
+    def test_non_finite_mesh_coordinate_is_one_error_line(self, tmp_path, capsys, recwarn):
+        mesh = tmp_path / "mesh.txt"
+        mesh.write_text(
+            "nodes 3\n0 0 1\n1 0 1\nnan 1 1\n"
+            "triangles 1\n0 1 2\nboundary_loops 1\nloop 3\n0 1 2\n"
+        )
+        out = tmp_path / "out.json"
+        code = run(["dbs", "--mesh", mesh, "--modes", "3", "--out", out])
+        err = assert_one_input_error(code, capsys, recwarn, out)
+        assert err == "error: vertex coordinates are not finite\n"
+
     @pytest.mark.parametrize(
         "domain, detail",
         [
@@ -513,6 +524,35 @@ class TestMeshAndBasisFileErrors:
         out = tmp_path / "s.csv"
         assert run(["kernel", "--basis", basis_file, "--x", "5,5", "--out", out]) == 1
         assert capsys.readouterr().err == "error: point (5.0, 5.0) lies outside the mesh\n"
+
+
+class TestNonFinitePointCounts:
+    # A spacing too fine, or a domain too large, for the point count to be finite.
+    # case -> (arguments, vertices file contents or None, spacing named)
+    CASES = {
+        "disk_radius_1e308": (["mesh", "--radius", "1e308", "--h", "0.2"], None, "0.2"),
+        "dbs_h_1e-320": (["dbs", "--h", "1e-320"], None, "1e-320"),
+        "square_h_1e-320": (
+            ["mesh", "--domain", "polygon", "--h", "1e-320"], "0 0\n1 0\n1 1\n0 1\n", "1e-320"
+        ),
+        "corners_1e308": (
+            ["mesh", "--domain", "polygon", "--h", "0.2"],
+            "0 0\n1e308 0\n1e308 1e308\n0 1e308\n",
+            "0.2",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_error_line_naming_the_spacing(self, tmp_path, capsys, recwarn, case):
+        argv, vertices, h = self.CASES[case]
+        out = tmp_path / "out"
+        if vertices is not None:
+            (tmp_path / "vertices.txt").write_text(vertices)
+            argv = [*argv, "--vertices-file", tmp_path / "vertices.txt"]
+        err = assert_one_input_error(run([*argv, "--out", out]), capsys, recwarn, out)
+        assert err == (
+            f"error: the domain is too large for target_h={h}: its point count is not finite\n"
+        )
 
 
 def _edit(key, change):

@@ -154,6 +154,15 @@ class TestInvariants:
         assert mesh.boundary_length == pytest.approx(length, rel=1e-13)
         assert np.all(mesh.interior_weights > 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex_is_refused(self, bad):
+        with pytest.raises(ValueError, match="^vertex coordinates are not finite$"):
+            Mesh([[0, 0], [1, 0], [bad, 1]], [[0, 1, 2]])
+
+    def test_nan_area_is_refused(self):
+        with pytest.raises(ValueError, match="counterclockwise with positive area"):
+            Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], areas=[math.nan])
+
     def test_normals_unit_and_outward(self):
         mesh = build_polygon_mesh([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)], 0.3)
         assert np.max(np.abs(np.hypot(*mesh.normals.T) - 1)) < 1e-12

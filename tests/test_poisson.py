@@ -15,8 +15,8 @@ from steklovsvd.poisson import (
     PoissonSvd,
     extend_harmonic_svd,
     extension_norm,
+    iter_kernel_slice_csv,
     kernel_slice,
-    kernel_slice_csv,
     poisson_kernel_eval,
     truncation_error_report,
 )
@@ -196,7 +196,7 @@ class TestKernelEvaluation:
         assert arc.shape == values.shape
         assert np.all(np.diff(arc) > 0)
         assert np.max(np.abs(values - 1 / (2 * math.pi))) < 0.01 / (2 * math.pi) * 10
-        text = kernel_slice_csv(disk_svd, (0.0, 0.0), 10)
+        text = b"".join(iter_kernel_slice_csv(disk_svd, (0.0, 0.0), 10)).decode()
         assert text.splitlines()[0] == "z_arclength,value"
 
 
