@@ -416,6 +416,15 @@ def _require_finite_counts(counts, target_h: float):
         )
 
 
+def _delaunay(points: np.ndarray, domain: str) -> np.ndarray:
+    """Delaunay triangles of ``points``; a Qhull failure is a ValueError naming ``domain``."""
+    try:
+        return Delaunay(points).simplices.astype(np.int64)
+    except RuntimeError as exc:  # scipy's QhullError
+        reason = str(exc).partition("\n")[0]
+        raise ValueError(f"cannot triangulate the {domain}: {reason}") from exc
+
+
 _GRADING = 0.8
 
 
@@ -461,7 +470,7 @@ def build_disk_mesh(radius: float, n_radial: int, n_angular: int) -> Mesh:
     pts = np.concatenate(points)
     # Boundary nodes exactly on the circle: the parametrization above already
     # evaluates cos/sin at radius `radius`; no snapping needed here.
-    triangles = Delaunay(pts).simplices.astype(np.int64)
+    triangles = _delaunay(pts, f"disk of radius {radius!r}")
     areas = _signed_areas(pts, triangles)
     triangles = _orient_ccw(pts, triangles, areas)
     return Mesh(pts, triangles, ("disk", 0.0, 0.0, float(radius)), areas=np.abs(areas))
@@ -528,15 +537,18 @@ def build_polygon_mesh(vertices, target_h: float) -> Mesh:
         edges = nxt - corners
         spans = np.hypot(*edges.T) / target_h, (xmax - xmin) / target_h, (ymax - ymin) / dy
     _require_finite_counts(np.hstack(spans), target_h)
-    signed_area = 0.5 * float(np.sum(corners[:, 0] * nxt[:, 1] - nxt[:, 0] * corners[:, 1]))
-    if signed_area <= 0:
+    # Corners near the float range overflow these products; a NaN from
+    # inf - inf fails the checks, and Qhull refuses what else is left.
+    with np.errstate(over="ignore", invalid="ignore"):
+        signed_area = 0.5 * float(np.sum(corners[:, 0] * nxt[:, 1] - nxt[:, 0] * corners[:, 1]))
+        prev_edges = np.roll(edges, 1, axis=0)
+        cross = prev_edges[:, 0] * edges[:, 1] - prev_edges[:, 1] * edges[:, 0]
+    if not signed_area > 0:
         raise ValueError(
             "polygon must be simple with counterclockwise orientation "
             f"(signed area {signed_area!r})"
         )
-    prev_edges = np.roll(edges, 1, axis=0)
-    cross = prev_edges[:, 0] * edges[:, 1] - prev_edges[:, 1] * edges[:, 0]
-    if np.any(cross <= 0):
+    if not np.all(cross > 0):
         raise ValueError("convexity required: input polygon is not strictly convex")
 
     boundary_pts = []
@@ -553,16 +565,17 @@ def build_polygon_mesh(vertices, target_h: float) -> Mesh:
         cols = int(math.floor((xmax - x0) / target_h)) + 1
         row = np.column_stack([x0 + np.arange(cols) * target_h, np.full(cols, ymin + r * dy)])
         rel = row[:, None, :] - corners
-        inside = np.all(edges[:, 0] * rel[:, :, 1] - edges[:, 1] * rel[:, :, 0] > 0, axis=1)
-        # Inside a convex polygon the distance to the boundary is the least
-        # distance to its edges, so the k edges stand in for their subdivisions.
-        clear = np.min(_segment_distances(row, corners, nxt), axis=1) >= 0.4 * target_h
+        with np.errstate(over="ignore", invalid="ignore"):
+            inside = np.all(edges[:, 0] * rel[:, :, 1] - edges[:, 1] * rel[:, :, 0] > 0, axis=1)
+            # Inside a convex polygon the distance to the boundary is the least
+            # distance to its edges, so the k edges stand in for their subdivisions.
+            clear = np.min(_segment_distances(row, corners, nxt), axis=1) >= 0.4 * target_h
         interior.append(row[inside & clear])
     interior = np.concatenate(interior)
     order = np.lexsort((interior[:, 0], interior[:, 1]))
     pts = np.concatenate([boundary_pts, interior[order]])
 
-    triangles = Delaunay(pts).simplices.astype(np.int64)
+    triangles = _delaunay(pts, "polygon")
     # Delaunay closes the rounded, nearly collinear subdivision points of a
     # slanted edge into zero-area slivers along the boundary: drop those.
     # Any other degenerate triangle is still rejected below.
@@ -677,6 +690,11 @@ def read_mesh_text(text: str) -> Mesh:
             raise ValueError("loop length mismatch")
 
     mesh = Mesh(vertices, triangles, geometry=("polygon",))
+    # Mesh checks the triangle corners; a node that no triangle uses is checked here.
+    bad = np.flatnonzero(~np.all(np.isfinite(vertices), axis=1))
+    if bad.size:
+        node = int(bad[0])
+        raise ValueError(f"mesh node {node} is not finite: {tuple(vertices[node].tolist())}")
     if not np.array_equal(mesh.is_boundary.astype(int), flags):
         raise ValueError("boundary flags inconsistent with triangulation")
     declared = {tuple(map(int, lp)) for lp in loops}

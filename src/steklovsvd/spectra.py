@@ -133,12 +133,14 @@ def _fix_signs(columns: list[np.ndarray], reference: np.ndarray):
     The significance cutoff sits well above discretization noise so the
     convention does not hinge on the sign of a nearly-zero coefficient.
     The flips are found first, as ``reference`` is often one of ``columns``.
+    No ``n x M`` float temporary is made: ``|reference|`` is never formed, and
+    a product with -1.0 flips a column in place with the same bits as negation.
     """
-    mag = np.abs(reference)
-    first = np.argmax(mag > 1e-3 * mag.max(axis=0), axis=0)
-    flip = reference[first, np.arange(reference.shape[1])] < 0
+    cut = 1e-3 * np.maximum(reference.max(axis=0), -reference.min(axis=0))
+    first = np.argmax((reference > cut) | (reference < -cut), axis=0)
+    sign = np.where(reference[first, np.arange(reference.shape[1])] < 0, -1.0, 1.0)
     for mat in columns:
-        mat[:, flip] = -mat[:, flip]
+        mat *= sign
 
 
 class SpectralBasis:
@@ -395,6 +397,7 @@ def dbs_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") -> SpectralBa
     g_cols = g_cols / scale
     b_mat = ops.dirichlet_solve(mh)
     w_mat = np.sqrt(q * mesh.boundary_length)[None, :] * ops.boundary_flux(b_mat, mh)
+    del mh  # not held through the rotation and the sign fix
 
     # Rotate the finished orthonormal systems: cluster rotations then leave
     # the Gram identities at rounding level, while the per-mode coupling

@@ -484,6 +484,17 @@ class TestMeshAndBasisFileErrors:
         err = assert_one_input_error(code, capsys, recwarn, out)
         assert err == "error: vertex coordinates are not finite\n"
 
+    def test_unused_non_finite_node_is_named(self, tmp_path, capsys, recwarn):
+        mesh = tmp_path / "mesh.txt"
+        mesh.write_text(
+            "nodes 4\n0 0 1\n1 0 1\n0 1 1\nnan 0.2 0\n"
+            "triangles 1\n0 1 2\nboundary_loops 1\nloop 3\n0 1 2\n"
+        )
+        out = tmp_path / "out.json"
+        code = run(["dbs", "--mesh", mesh, "--modes", "2", "--out", out])
+        err = assert_one_input_error(code, capsys, recwarn, out)
+        assert err == "error: mesh node 3 is not finite: (nan, 0.2)\n"
+
     @pytest.mark.parametrize(
         "domain, detail",
         [
@@ -553,6 +564,29 @@ class TestNonFinitePointCounts:
         assert err == (
             f"error: the domain is too large for target_h={h}: its point count is not finite\n"
         )
+
+
+class TestQhullFailures:
+    # Point counts that are finite, on coordinates near the float range.
+    CASES = {
+        "polygon_corners_3e200": (
+            ["mesh", "--domain", "polygon", "--h", "1e200"],
+            "0 0\n3e200 0\n3e200 3e200\n0 3e200\n",
+            "polygon",
+        ),
+        "disk_radius_1e200": (["dbs", "--radius", "1e200", "--h", "3e199"], None, "disk"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_error_line_naming_the_domain(self, tmp_path, capsys, recwarn, case):
+        argv, vertices, domain = self.CASES[case]
+        out = tmp_path / "out"
+        if vertices is not None:
+            (tmp_path / "vertices.txt").write_text(vertices)
+            argv = [*argv, "--vertices-file", tmp_path / "vertices.txt"]
+        err = assert_one_input_error(run([*argv, "--out", out]), capsys, recwarn, out)
+        assert err.startswith(f"error: cannot triangulate the {domain}")
+        assert "Warning" not in err
 
 
 def _edit(key, change):

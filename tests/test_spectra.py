@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -161,6 +162,27 @@ class TestDbsEigensolve:
         q = disk_mid_basis.q
         for lo in (1, 3, 5):
             assert abs(q[lo + 1] - q[lo]) <= 1e-3 * q[lo]
+
+    def test_sign_fix_makes_no_float_temporary(self):
+        # The DBS call: three n x M arrays, the first also the reference.
+        # An |reference| copy alone is 8 n M bytes; the boolean masks are 3 n M.
+        n, m = 3000, 40
+        rng = np.random.default_rng(11)
+        mats = [rng.standard_normal((n, m)) for _ in range(3)]
+        mag = np.abs(mats[0])
+        first = np.argmax(mag > 1e-3 * mag.max(axis=0), axis=0)
+        flip = mats[0][first, np.arange(m)] < 0
+        expected = [np.where(flip, -mat, mat) for mat in mats]
+        del mag
+        tracemalloc.start()
+        try:
+            spectra._fix_signs(mats, mats[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * m
+        for got, want in zip(mats, expected):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestHarmonicSteklov:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from steklovsvd import (
     dbs_eigensolve,
     dirichlet_laplacian_eigensolve,
     disk_mesh,
+    verify,
 )
 from steklovsvd.fem import (
     BoundaryField,
@@ -30,6 +33,23 @@ def test_all_suites_pass_on_square(square_coarse):
     results = run_suites(square_coarse, ("all",), n_modes=12)
     failed = [r for r in results if not r.passed]
     assert not failed, "\n".join(r.line() for r in failed)
+
+
+def test_spectra_suite_frees_each_transformed_copy(square_coarse, monkeypatch):
+    # The basis, the moved copy, then the scaled copy: the moved copy (and
+    # with it its operators and LU) is gone before the scaled one is solved.
+    seen = []
+    solve = verify.dbs_eigensolve
+
+    def recording_solve(mesh, n_modes, *args, **kwargs):
+        if len(seen) == 2:
+            assert seen[1]() is None, "the moved copy is still alive"
+        seen.append(weakref.ref(mesh))
+        return solve(mesh, n_modes, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "dbs_eigensolve", recording_solve)
+    run_suites(square_coarse, ("spectra",), n_modes=12)
+    assert len(seen) == 3
 
 
 def test_selected_suite_only(disk_coarse):
