@@ -210,8 +210,6 @@ def _domain_mesh(args) -> tuple[Mesh, str]:
     if args.mesh:
         mesh = _read_mesh_file(args.mesh)
         return mesh, f"meshfile;hash={mesh_hash(mesh)}"
-    if args.h is None or args.h <= 0:
-        raise InputError("mesh spacing --h must be positive")
     if args.domain == "disk":
         mesh = disk_mesh(args.radius, args.h)
         return mesh, f"disk;radius={fmt_float(args.radius)};h={fmt_float(args.h)}"

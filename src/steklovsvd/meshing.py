@@ -19,8 +19,10 @@ Two generators are provided:
 * :func:`build_polygon_mesh` - a Delaunay triangulation of a simple,
   counterclockwise, convex polygon.
 
-:func:`refine` performs uniform midpoint subdivision; new boundary
-midpoints of disk meshes are projected back onto the circle.
+Both refuse a spacing that would give them more points than they can
+build (``_MAX_POINTS``).  :func:`refine` performs uniform midpoint
+subdivision; new boundary midpoints of disk meshes are projected back onto
+the circle.
 """
 
 from __future__ import annotations
@@ -176,10 +178,10 @@ class Mesh:
             raise ValueError("triangles must have shape (t, 3)")
         if t.size and (t.min() < 0 or t.max() >= v.shape[0]):
             raise ValueError("triangle index out of range")
-        # Triangle corners only: an unused vertex adds no area, and the text
-        # writer names it if it is not finite.
-        if not np.isfinite(v).all(axis=1)[t].all():
-            raise ValueError("vertex coordinates are not finite")
+        bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+        if bad.size:
+            node = int(bad[0])
+            raise ValueError(f"mesh node {node} is not finite: {tuple(v[node].tolist())}")
         areas = _signed_areas(v, t) if areas is None else np.array(areas, dtype=float)
         if not np.all(areas > 0):
             raise ValueError("all triangles must be counterclockwise with positive area")
@@ -408,18 +410,41 @@ def _require_positive(name: str, value: float):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _require_finite_counts(counts, target_h: float):
-    """Refuse a spacing that gives the domain a non-finite number of points."""
-    if not np.all(np.isfinite(counts)):
+# Most points a builder may make, by its estimate.  A build's peak resident
+# memory was about 790 B per vertex for disks (219k and 874k vertices) and
+# 910 B for squares (290k and 1.16M; numpy 2.4.6, scipy 1.17.1), so a build
+# stays below 1 GB.  Without a limit, `mesh --h 1e-30` ran out of memory in
+# the disk's ring loop.
+_MAX_POINTS = 2**20
+
+
+def _require_point_count(points, spacing: str):
+    """Refuse ``spacing`` if ``points``, the builder's estimate of its point
+    count, is not finite or is above ``_MAX_POINTS``; before any array is built."""
+    if not math.isfinite(points):
+        raise ValueError(f"the domain is too large for {spacing}: its point count is not finite")
+    if points > _MAX_POINTS:
         raise ValueError(
-            f"the domain is too large for target_h={target_h!r}: its point count is not finite"
+            f"the domain is too large for {spacing}: it needs about {points:.3g} points, "
+            f"more than {_MAX_POINTS}"
         )
 
 
 def _delaunay(points: np.ndarray, domain: str) -> np.ndarray:
-    """Delaunay triangles of ``points``; a Qhull failure is a ValueError naming ``domain``."""
+    """Delaunay triangles of ``points``; a Qhull failure is a ValueError naming ``domain``.
+
+    Qhull sees the points divided by the power of two that brings the largest
+    coordinate into [0.5, 1), which is exact, so its lifted coordinates
+    ``x**2 + y**2`` stay far from overflow.  Coordinates of ``2**510`` or more
+    are refused: below it, coordinate differences stay under ``2**511`` and the
+    signed areas' cross products under ``2**1023``.
+    """
+    peak = float(np.max(np.abs(points)))
+    exponent = math.frexp(peak)[1]
+    if exponent > 510:
+        raise ValueError(f"cannot triangulate the {domain}: coordinates of {peak:.3g} overflow")
     try:
-        return Delaunay(points).simplices.astype(np.int64)
+        return Delaunay(np.ldexp(points, -exponent)).simplices.astype(np.int64)
     except RuntimeError as exc:  # scipy's QhullError
         reason = str(exc).partition("\n")[0]
         raise ValueError(f"cannot triangulate the {domain}: {reason}") from exc
@@ -455,6 +480,7 @@ def build_disk_mesh(radius: float, n_radial: int, n_angular: int) -> Mesh:
     if n_radial < 1:
         raise ValueError(f"n_radial must be >= 1, got {n_radial}")
     _require_positive("radius", radius)
+    _require_point_count(n_radial * n_angular, f"n_radial={n_radial}, n_angular={n_angular}")
 
     points = [np.zeros((1, 2))]
     for i in range(1, n_radial + 1):
@@ -481,7 +507,8 @@ def disk_mesh(radius: float, target_h: float) -> Mesh:
     _require_positive("radius", radius)
     _require_positive("target_h", target_h)
     turns = 2.0 * math.pi * radius / target_h
-    _require_finite_counts(turns, target_h)
+    # Rings times boundary nodes: the graded rings hold about 1 / 1.8 of it.
+    _require_point_count(turns * (radius / target_h), f"target_h={target_h!r}")
     n_angular = max(12, int(round(turns)))
     n_radial = max(2, int(round(radius / target_h)))
     return build_disk_mesh(radius, n_radial, n_angular)
@@ -520,7 +547,8 @@ def build_polygon_mesh(vertices, target_h: float) -> Mesh:
         For clockwise, self-intersecting, or non-convex input (the latter
         with an explicit "convexity required" message), a non-finite
         corner, a non-positive or non-finite ``target_h``, or a
-        ``target_h`` that gives the polygon a non-finite point count.
+        ``target_h`` that gives the polygon a non-finite point count or
+        more than ``_MAX_POINTS``.
     """
     corners = np.asarray(vertices, dtype=float)
     if corners.ndim != 2 or corners.shape[1] != 2 or corners.shape[0] < 3:
@@ -535,10 +563,13 @@ def build_polygon_mesh(vertices, target_h: float) -> Mesh:
     with np.errstate(over="ignore"):
         # An overflow here gives an infinite count, refused below.
         edges = nxt - corners
-        spans = np.hypot(*edges.T) / target_h, (xmax - xmin) / target_h, (ymax - ymin) / dy
-    _require_finite_counts(np.hstack(spans), target_h)
+        # Boundary points, then the lattice over the bounding box.
+        points = np.hypot(*edges.T).sum() / target_h + ((xmax - xmin) / target_h + 1) * (
+            (ymax - ymin) / dy + 1
+        )
+    _require_point_count(float(points), f"target_h={target_h!r}")
     # Corners near the float range overflow these products; a NaN from
-    # inf - inf fails the checks, and Qhull refuses what else is left.
+    # inf - inf fails the checks, and _delaunay refuses what else is left.
     with np.errstate(over="ignore", invalid="ignore"):
         signed_area = 0.5 * float(np.sum(corners[:, 0] * nxt[:, 1] - nxt[:, 0] * corners[:, 1]))
         prev_edges = np.roll(edges, 1, axis=0)
@@ -690,11 +721,6 @@ def read_mesh_text(text: str) -> Mesh:
             raise ValueError("loop length mismatch")
 
     mesh = Mesh(vertices, triangles, geometry=("polygon",))
-    # Mesh checks the triangle corners; a node that no triangle uses is checked here.
-    bad = np.flatnonzero(~np.all(np.isfinite(vertices), axis=1))
-    if bad.size:
-        node = int(bad[0])
-        raise ValueError(f"mesh node {node} is not finite: {tuple(vertices[node].tolist())}")
     if not np.array_equal(mesh.is_boundary.astype(int), flags):
         raise ValueError("boundary flags inconsistent with triangulation")
     declared = {tuple(map(int, lp)) for lp in loops}

@@ -482,7 +482,7 @@ class TestMeshAndBasisFileErrors:
         out = tmp_path / "out.json"
         code = run(["dbs", "--mesh", mesh, "--modes", "3", "--out", out])
         err = assert_one_input_error(code, capsys, recwarn, out)
-        assert err == "error: vertex coordinates are not finite\n"
+        assert err == "error: mesh node 2 is not finite: (nan, 1.0)\n"
 
     def test_unused_non_finite_node_is_named(self, tmp_path, capsys, recwarn):
         mesh = tmp_path / "mesh.txt"
@@ -564,6 +564,64 @@ class TestNonFinitePointCounts:
         assert err == (
             f"error: the domain is too large for target_h={h}: its point count is not finite\n"
         )
+
+
+class TestSpacing:
+    @pytest.mark.parametrize("h", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("domain", ["disk", "polygon"])
+    def test_one_error_line_from_the_builder(self, tmp_path, capsys, recwarn, domain, h):
+        argv = ["dbs", "--domain", domain, "--h", h]
+        if domain == "polygon":
+            (tmp_path / "vertices.txt").write_text("0 0\n1 0\n1 1\n0 1\n")
+            argv += ["--vertices-file", tmp_path / "vertices.txt"]
+        out = tmp_path / "out.json"
+        err = assert_one_input_error(run([*argv, "--out", out]), capsys, recwarn, out)
+        assert err == f"error: target_h must be positive and finite, got {float(h)}\n"
+
+    # case -> (arguments, vertices file contents or None, spacing named)
+    TOO_FINE = {
+        "mesh_h_1e-30": (["mesh", "--h", "1e-30"], None, "1e-30"),
+        "dbs_h_1e-7": (["dbs", "--h", "1e-7"], None, "1e-07"),
+        "square_h_1e-9": (
+            ["mesh", "--domain", "polygon", "--h", "1e-9"], "0 0\n1 0\n1 1\n0 1\n", "1e-09"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TOO_FINE))
+    def test_too_many_points_is_one_error_line(self, tmp_path, capsys, recwarn, case):
+        argv, vertices, h = self.TOO_FINE[case]
+        out = tmp_path / "out"
+        if vertices is not None:
+            (tmp_path / "vertices.txt").write_text(vertices)
+            argv = [*argv, "--vertices-file", tmp_path / "vertices.txt"]
+        err = assert_one_input_error(run([*argv, "--out", out]), capsys, recwarn, out)
+        assert err.startswith(f"error: the domain is too large for target_h={h}: it needs about ")
+        assert err.endswith(" points, more than 1048576\n")
+
+
+class TestLargeCoordinates:
+    # Qhull sees the points scaled by a power of two, so these build and solve.
+    @pytest.mark.parametrize(
+        "argv, vertices",
+        [
+            (["dbs", "--radius", "1e100", "--h", "2e99", "--modes", "3"], None),
+            (
+                ["dbs", "--domain", "polygon", "--h", "2e99", "--modes", "3"],
+                "0 0\n1e100 0\n1e100 1e100\n0 1e100\n",
+            ),
+        ],
+        ids=["disk_radius_1e100", "square_corners_1e100"],
+    )
+    def test_builds_and_solves(self, tmp_path, capsys, recwarn, argv, vertices):
+        if vertices is not None:
+            (tmp_path / "vertices.txt").write_text(vertices)
+            argv = [*argv, "--vertices-file", tmp_path / "vertices.txt"]
+        out = tmp_path / "basis.json"
+        assert run([*argv, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+        q = json.loads(out.read_text())["q"]
+        assert len(q) == 3 and all(math.isfinite(v) and v > 0 for v in q)
 
 
 class TestQhullFailures:

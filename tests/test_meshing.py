@@ -156,7 +156,7 @@ class TestInvariants:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_vertex_is_refused(self, bad):
-        with pytest.raises(ValueError, match="^vertex coordinates are not finite$"):
+        with pytest.raises(ValueError, match=rf"^mesh node 2 is not finite: \({bad}, 1\.0\)$"):
             Mesh([[0, 0], [1, 0], [bad, 1]], [[0, 1, 2]])
 
     def test_nan_area_is_refused(self):
@@ -203,6 +203,67 @@ class TestInvariants:
         assert moved.boundary_length == pytest.approx(3 * mesh.boundary_length, rel=1e-13)
         assert moved.area == pytest.approx(9 * mesh.area, rel=1e-13)
         assert moved.geometry[3] == pytest.approx(3.0)
+
+
+PENTAGON = np.array([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)], dtype=float)
+
+
+class TestSizeAndScale:
+    @pytest.mark.parametrize(
+        "call, spacing",
+        [
+            (lambda: disk_mesh(1.0, 1e-30), "target_h=1e-30"),
+            (lambda: build_polygon_mesh(UNIT_SQUARE, 1e-9), "target_h=1e-09"),
+            (lambda: build_disk_mesh(1.0, 10**6, 10**6), "n_radial=1000000, n_angular=1000000"),
+        ],
+        ids=["disk", "polygon", "build_disk"],
+    )
+    def test_too_many_points_are_refused_before_any_array(self, call, spacing):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value).startswith(f"the domain is too large for {spacing}: it needs about ")
+        assert str(exc.value).endswith(f" points, more than {meshing._MAX_POINTS}")
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: disk_mesh(1.0, 0.05),
+            lambda: build_disk_mesh(1.0, 3, 16),
+            lambda: build_polygon_mesh(UNIT_SQUARE, 0.05),
+            lambda: build_polygon_mesh(PENTAGON, 0.1),
+        ],
+        ids=["disk", "build_disk", "square", "pentagon"],
+    )
+    def test_the_estimate_bounds_the_point_count(self, monkeypatch, make):
+        # A limit one below the real count refuses the mesh: the check never lets more through.
+        monkeypatch.setattr(meshing, "_MAX_POINTS", make().vertices.shape[0] - 1)
+        with pytest.raises(ValueError, match="points, more than"):
+            make()
+
+    @pytest.mark.parametrize("k", [250, 332])
+    def test_a_power_of_two_scale_moves_no_triangle(self, k):
+        # Qhull once refused 2**332 (about 1e100) as a flat initial simplex.
+        for make in (
+            lambda s: disk_mesh(s, 0.1 * s),
+            lambda s: build_polygon_mesh(PENTAGON * s, 0.2 * s),
+        ):
+            base, scaled = make(1.0), make(2.0**k)
+            np.testing.assert_array_equal(scaled.vertices, np.ldexp(base.vertices, k))
+            np.testing.assert_array_equal(scaled.triangles, base.triangles)
+
+    def test_coordinates_whose_areas_overflow_are_refused(self, recwarn):
+        square = np.array(UNIT_SQUARE) - 0.5
+        mesh = build_polygon_mesh(square * 2.0**510, 2.0**508)
+        assert np.all(np.isfinite(mesh.interior_weights))
+        with pytest.raises(ValueError, match=r"^cannot triangulate the polygon: coordinates of "):
+            build_polygon_mesh(square * 2.0**511, 2.0**509)
+        assert not recwarn.list
 
 
 class TestPointQueries:

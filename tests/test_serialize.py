@@ -699,14 +699,13 @@ def test_mesh_text_matches_reference_across_chunks(text_meshes, name):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_mesh_text_refuses_a_non_finite_vertex_in_a_later_chunk(text_meshes, bad):
-    # An unused vertex is not checked by the constructor; the writer names it.
+    # Unused or not, a non-finite node is refused by index before any text exists.
     base = text_meshes["disk_h0.05"]
-    mesh = Mesh(np.vstack([base.vertices, [[0.25, bad]]]), base.triangles)
-    with pytest.raises(ValueError) as ref_exc:
-        ref_fmt_float(bad)
+    node = base.vertices.shape[0]
+    assert node > meshing._TEXT_CHUNK
     with pytest.raises(ValueError) as exc:
-        write_mesh_text(mesh)
-    assert str(exc.value) == str(ref_exc.value)
+        Mesh(np.vstack([base.vertices, [[0.25, bad]]]), base.triangles)
+    assert str(exc.value) == f"mesh node {node} is not finite: (0.25, {bad})"
 
 
 # -- the CLI's files ---------------------------------------------------------------------
