@@ -2,7 +2,7 @@
 
 A :class:`Mesh` stores a triangulation of a bounded convex planar domain
 together with everything the solvers need: counterclockwise triangles with
-positive areas, ordered closed boundary loops, unit outward normals, and
+areas above a scale-free floor, ordered closed boundary loops, unit outward normals, and
 quadrature weights.  Interior quadrature is exact per-triangle area
 (midpoint rule on piecewise constants); boundary quadrature is the
 trapezoid rule on boundary edges, which is exact for piecewise-linear
@@ -20,9 +20,11 @@ Two generators are provided:
   counterclockwise, convex polygon.
 
 Both refuse a spacing that would give them more points than they can
-build (``_MAX_POINTS``).  :func:`refine` performs uniform midpoint
-subdivision; new boundary midpoints of disk meshes are projected back onto
-the circle.
+build (``_MAX_POINTS``).  Both are exact under power-of-two scaling: the
+size and the spacing times ``2**k`` give every vertex times ``2**k`` and the
+same triangles, while the areas stay normal floats.  :func:`refine` performs
+uniform midpoint subdivision; new boundary midpoints of disk meshes are
+projected back onto the circle.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ _TEXT_CHUNK = 512
 
 def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     p = vertices[triangles]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        e1 = p[:, 1] - p[:, 0]
+        e2 = p[:, 2] - p[:, 0]
+        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
 def boundary_polygon_measures(mesh: Mesh) -> tuple[float, float]:
@@ -74,9 +77,11 @@ def boundary_polygon_measures(mesh: Mesh) -> tuple[float, float]:
 
 
 def _flat(vertices: np.ndarray, areas: np.ndarray) -> np.ndarray:
-    """Mask of zero-area triangles (signed ``areas``), relative to the coordinate scale."""
-    scale = float(np.max(np.abs(vertices))) if vertices.size else 1.0
-    return np.abs(areas) <= 1e-14 * max(scale, 1.0) ** 2
+    """Mask of the finite signed ``areas`` not above ``1e-14 * scale * scale`` in size, ``scale``
+    the largest absolute coordinate: a power-of-two scaling moves no area across it.  (An
+    overflowed area is no sliver; ``scale ** 2`` would raise OverflowError near 1e154.)"""
+    scale = float(np.max(np.abs(vertices))) if vertices.size else 0.0
+    return np.isfinite(areas) & (np.abs(areas) <= 1e-14 * scale * scale)
 
 
 def _edge_table(triangles: np.ndarray, n_vertices: int):
@@ -100,20 +105,12 @@ def _edge_table(triangles: np.ndarray, n_vertices: int):
     return edges, first, inverse, counts
 
 
-def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray, areas=None) -> np.ndarray:
-    """Swap vertices of clockwise triangles; reject degenerate ones.
-
-    ``areas`` are the triangles' signed areas, computed here if not given.
-    Swapping two corners negates a signed area exactly, so ``abs(areas)``
-    are the areas of the returned triangles, bit for bit.
-    """
-    if areas is None:
-        areas = _signed_areas(vertices, triangles)
+def _orient_ccw(triangles: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Swap two corners of each triangle whose signed area in ``areas`` is negative: that
+    negates the area exactly, so ``abs(areas)`` are the new triangles' areas, bit for bit."""
     flip = areas < 0
     triangles = triangles.copy()
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    if np.any(_flat(vertices, areas)):
-        raise ValueError("triangulation contains a degenerate (zero-area) triangle")
     return triangles
 
 
@@ -136,9 +133,9 @@ class Mesh:
     vertices : (n, 2) array_like
         Vertex coordinates.
     triangles : (t, 3) array_like
-        Vertex index triples.  Must be counterclockwise with strictly
-        positive area; use the module generators rather than building by
-        hand unless you control orientation.
+        Vertex index triples, counterclockwise with finite areas above ``1e-14``
+        times the largest absolute coordinate squared; use the module generators
+        rather than building by hand unless you control orientation.
     geometry : tuple
         ``("polygon",)`` for straight-sided domains, or
         ``("disk", cx, cy, radius)`` for disk meshes whose boundary nodes
@@ -176,15 +173,21 @@ class Mesh:
             raise ValueError("vertices must have shape (n, 2)")
         if t.ndim != 2 or t.shape[1] != 3:
             raise ValueError("triangles must have shape (t, 3)")
-        if t.size and (t.min() < 0 or t.max() >= v.shape[0]):
+        if not t.size:
+            raise ValueError("a mesh needs at least one triangle")
+        if t.min() < 0 or t.max() >= v.shape[0]:
             raise ValueError("triangle index out of range")
         bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
         if bad.size:
             node = int(bad[0])
             raise ValueError(f"mesh node {node} is not finite: {tuple(v[node].tolist())}")
         areas = _signed_areas(v, t) if areas is None else np.array(areas, dtype=float)
-        if not np.all(areas > 0):
-            raise ValueError("all triangles must be counterclockwise with positive area")
+        bad = np.flatnonzero(~(np.isfinite(areas) & (areas > 0)) | _flat(v, areas))
+        if bad.size:
+            raise ValueError(
+                f"triangle {bad[0]} has signed area {float(areas[bad[0]])!r}: each must be finite "
+                "and above 1e-14 times the largest absolute coordinate squared"
+            )
 
         self.vertices = v
         self.triangles = t
@@ -318,13 +321,12 @@ class Mesh:
         """Check the invariants that construction leaves open; raises ``ValueError``."""
         if np.any(self.outward_clearance() <= 0):
             raise ValueError("boundary normal does not point outward")
-        # Quadrature exactness against the shoelace formula on the boundary polygon.
-        shoelace, _ = boundary_polygon_measures(self)
-        scale = max(abs(shoelace), 1.0)
-        if abs(self.area - shoelace) > 1e-10 * scale:
-            raise ValueError(
-                f"interior weights sum {self.area!r} != polygon area {shoelace!r}"
-            )
+        # Quadrature exactness on the boundary polygon; sums past the float range fail too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            shoelace, _ = boundary_polygon_measures(self)
+            area = self.area
+        if not abs(area - shoelace) <= 1e-10 * max(abs(shoelace), 1.0):
+            raise ValueError(f"interior weights sum {area!r} != polygon area {shoelace!r}")
 
     # -- point queries ----------------------------------------------------------
 
@@ -435,14 +437,10 @@ def _delaunay(points: np.ndarray, domain: str) -> np.ndarray:
 
     Qhull sees the points divided by the power of two that brings the largest
     coordinate into [0.5, 1), which is exact, so its lifted coordinates
-    ``x**2 + y**2`` stay far from overflow.  Coordinates of ``2**510`` or more
-    are refused: below it, coordinate differences stay under ``2**511`` and the
-    signed areas' cross products under ``2**1023``.
+    ``x**2 + y**2`` stay far from overflow and underflow, and the same
+    points at any power-of-two scale give the same triangles.
     """
-    peak = float(np.max(np.abs(points)))
-    exponent = math.frexp(peak)[1]
-    if exponent > 510:
-        raise ValueError(f"cannot triangulate the {domain}: coordinates of {peak:.3g} overflow")
+    exponent = math.frexp(float(np.max(np.abs(points))))[1]
     try:
         return Delaunay(np.ldexp(points, -exponent)).simplices.astype(np.int64)
     except RuntimeError as exc:  # scipy's QhullError
@@ -498,7 +496,7 @@ def build_disk_mesh(radius: float, n_radial: int, n_angular: int) -> Mesh:
     # evaluates cos/sin at radius `radius`; no snapping needed here.
     triangles = _delaunay(pts, f"disk of radius {radius!r}")
     areas = _signed_areas(pts, triangles)
-    triangles = _orient_ccw(pts, triangles, areas)
+    triangles = _orient_ccw(triangles, areas)
     return Mesh(pts, triangles, ("disk", 0.0, 0.0, float(radius)), areas=np.abs(areas))
 
 
@@ -560,20 +558,18 @@ def build_polygon_mesh(vertices, target_h: float) -> Mesh:
     xmin, ymin = corners.min(axis=0)
     xmax, ymax = corners.max(axis=0)
     dy = target_h * math.sqrt(3.0) / 2.0
-    with np.errstate(over="ignore"):
-        # An overflow here gives an infinite count, refused below.
+    # Corners near the float range overflow here: an infinite count is refused,
+    # a NaN from inf - inf fails the checks, and Mesh refuses overflowed areas.
+    with np.errstate(over="ignore", invalid="ignore"):
         edges = nxt - corners
         # Boundary points, then the lattice over the bounding box.
         points = np.hypot(*edges.T).sum() / target_h + ((xmax - xmin) / target_h + 1) * (
             (ymax - ymin) / dy + 1
         )
-    _require_point_count(float(points), f"target_h={target_h!r}")
-    # Corners near the float range overflow these products; a NaN from
-    # inf - inf fails the checks, and _delaunay refuses what else is left.
-    with np.errstate(over="ignore", invalid="ignore"):
         signed_area = 0.5 * float(np.sum(corners[:, 0] * nxt[:, 1] - nxt[:, 0] * corners[:, 1]))
         prev_edges = np.roll(edges, 1, axis=0)
         cross = prev_edges[:, 0] * edges[:, 1] - prev_edges[:, 1] * edges[:, 0]
+    _require_point_count(float(points), f"target_h={target_h!r}")
     if not signed_area > 0:
         raise ValueError(
             "polygon must be simple with counterclockwise orientation "
@@ -609,10 +605,10 @@ def build_polygon_mesh(vertices, target_h: float) -> Mesh:
     triangles = _delaunay(pts, "polygon")
     # Delaunay closes the rounded, nearly collinear subdivision points of a
     # slanted edge into zero-area slivers along the boundary: drop those.
-    # Any other degenerate triangle is still rejected below.
+    # Mesh refuses any other degenerate triangle.
     areas = _signed_areas(pts, triangles)
     keep = ~(_flat(pts, areas) & np.all(triangles < boundary_pts.shape[0], axis=1))
-    triangles = _orient_ccw(pts, triangles[keep], areas[keep])
+    triangles = _orient_ccw(triangles[keep], areas[keep])
     return Mesh(pts, triangles, ("polygon",), areas=np.abs(areas[keep]))
 
 

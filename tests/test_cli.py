@@ -625,25 +625,44 @@ class TestLargeCoordinates:
 
 
 class TestQhullFailures:
-    # Point counts that are finite, on coordinates near the float range.
+    def test_one_error_line_naming_the_domain(self, tmp_path, capsys, recwarn):
+        # A strictly convex triangle too flat for Qhull's initial simplex.
+        (tmp_path / "vertices.txt").write_text("0 0\n1 0\n0.5 1e-15\n")
+        out = tmp_path / "out"
+        argv = ["mesh", "--domain", "polygon", "--h", "2", "--vertices-file"]
+        assert run([*argv, tmp_path / "vertices.txt", "--out", out]) == 1
+        # Qhull's own text reads "precision error:", so count lines, not "error:".
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot triangulate the polygon: QH6154 ")
+        assert err.count("\n") == 1
+        assert not recwarn.list and not out.exists()
+
+
+class TestOverflowingAreas:
+    # Point counts that are finite, on coordinates near the float range:
+    # Mesh refuses the first triangle whose area overflows.
     CASES = {
         "polygon_corners_3e200": (
-            ["mesh", "--domain", "polygon", "--h", "1e200"],
+            ["mesh", "--domain", "polygon", "--h", "1e200", "--vertices-file"],
             "0 0\n3e200 0\n3e200 3e200\n0 3e200\n",
-            "polygon",
         ),
-        "disk_radius_1e200": (["dbs", "--radius", "1e200", "--h", "3e199"], None, "disk"),
+        "disk_radius_1e200": (["dbs", "--radius", "1e200", "--h", "3e199"], None),
+        "mesh_file_1e200": (
+            ["dbs", "--modes", "3", "--mesh"],
+            "nodes 3\n0 0 1\n1e200 0 1\n0 1e200 1\n"
+            "triangles 1\n0 1 2\nboundary_loops 1\nloop 3\n0 1 2\n",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_one_error_line_naming_the_domain(self, tmp_path, capsys, recwarn, case):
-        argv, vertices, domain = self.CASES[case]
+    def test_one_error_line_naming_the_triangle(self, tmp_path, capsys, recwarn, case):
+        argv, text = self.CASES[case]
         out = tmp_path / "out"
-        if vertices is not None:
-            (tmp_path / "vertices.txt").write_text(vertices)
-            argv = [*argv, "--vertices-file", tmp_path / "vertices.txt"]
+        if text is not None:
+            (tmp_path / "input.txt").write_text(text)
+            argv = [*argv, tmp_path / "input.txt"]
         err = assert_one_input_error(run([*argv, "--out", out]), capsys, recwarn, out)
-        assert err.startswith(f"error: cannot triangulate the {domain}")
+        assert err.startswith("error: triangle 0 has signed area inf: each must be finite ")
         assert "Warning" not in err
 
 

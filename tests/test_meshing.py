@@ -160,8 +160,30 @@ class TestInvariants:
             Mesh([[0, 0], [1, 0], [bad, 1]], [[0, 1, 2]])
 
     def test_nan_area_is_refused(self):
-        with pytest.raises(ValueError, match="counterclockwise with positive area"):
+        with pytest.raises(ValueError, match=r"^triangle 0 has signed area nan: each must be "):
             Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], areas=[math.nan])
+
+    @pytest.mark.parametrize(
+        "second, areas, text",
+        [
+            ([1, 2, 3], None, "-0.5"),
+            ([1, 2, 2], None, "0.0"),
+            ([1, 3, 2], [0.5, math.nan], "nan"),
+        ],
+        ids=["clockwise", "zero_area", "nan_area"],
+    )
+    def test_a_bad_triangle_is_named_by_index(self, second, areas, text):
+        vertices = [[0, 0], [1, 0], [0, 1], [1, 1]]
+        with pytest.raises(ValueError) as exc:
+            Mesh(vertices, [[0, 1, 2], second], areas=areas)
+        assert str(exc.value) == (
+            f"triangle 1 has signed area {text}: each must be finite and above 1e-14 times "
+            "the largest absolute coordinate squared"
+        )
+
+    def test_an_empty_triangulation_is_refused(self):
+        with pytest.raises(ValueError, match="^a mesh needs at least one triangle$"):
+            Mesh([[0, 0], [1, 0], [0, 1]], np.empty((0, 3), dtype=np.int64))
 
     def test_normals_unit_and_outward(self):
         mesh = build_polygon_mesh([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)], 0.3)
@@ -246,9 +268,10 @@ class TestSizeAndScale:
         with pytest.raises(ValueError, match="points, more than"):
             make()
 
-    @pytest.mark.parametrize("k", [250, 332])
+    @pytest.mark.parametrize("k", [-300, -40, -1, 250, 332])
     def test_a_power_of_two_scale_moves_no_triangle(self, k):
-        # Qhull once refused 2**332 (about 1e100) as a flat initial simplex.
+        # Qhull once refused 2**332 (about 1e100) as a flat initial simplex,
+        # and an absolute area floor once refused domains smaller than 1.
         for make in (
             lambda s: disk_mesh(s, 0.1 * s),
             lambda s: build_polygon_mesh(PENTAGON * s, 0.2 * s),
@@ -261,9 +284,21 @@ class TestSizeAndScale:
         square = np.array(UNIT_SQUARE) - 0.5
         mesh = build_polygon_mesh(square * 2.0**510, 2.0**508)
         assert np.all(np.isfinite(mesh.interior_weights))
-        with pytest.raises(ValueError, match=r"^cannot triangulate the polygon: coordinates of "):
-            build_polygon_mesh(square * 2.0**511, 2.0**509)
+        with pytest.raises(ValueError, match=r"^triangle \d+ has signed area inf: each must be "):
+            build_polygon_mesh(square * 2.0**513, 2.0**513)
+        # Each triangle's area is finite here, but not their sum.
+        with pytest.raises(ValueError, match=r"^interior weights sum inf != polygon area inf$"):
+            build_polygon_mesh(square * 2.0**512, 2.0**510)
         assert not recwarn.list
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: disk_mesh(1e-6, 1e-7), lambda: build_polygon_mesh(PENTAGON * 1e-6, 2e-7)],
+        ids=["disk", "pentagon"],
+    )
+    def test_a_domain_smaller_than_one_builds(self, make):
+        mesh = make()
+        assert mesh.area == pytest.approx(boundary_polygon_measures(mesh)[0], rel=1e-13)
 
 
 class TestPointQueries:
@@ -747,11 +782,10 @@ def ref_build_polygon_mesh(vertices, target_h: float) -> Mesh:
     triangles = Delaunay(pts).simplices.astype(np.int64)
     # Delaunay closes the rounded, nearly collinear subdivision points of a
     # slanted edge into zero-area slivers along the boundary: drop those.
-    # Any other degenerate triangle is still rejected below.
-    sliver = _flat(pts, _signed_areas(pts, triangles)) & np.all(
-        triangles < boundary_pts.shape[0], axis=1
-    )
-    triangles = _orient_ccw(pts, triangles[~sliver])
+    # Mesh refuses any other degenerate triangle.
+    areas = _signed_areas(pts, triangles)
+    sliver = _flat(pts, areas) & np.all(triangles < boundary_pts.shape[0], axis=1)
+    triangles = _orient_ccw(triangles[~sliver], areas[~sliver])
     return Mesh(pts, triangles, geometry=("polygon",))
 
 
