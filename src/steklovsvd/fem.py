@@ -428,15 +428,14 @@ class AssembledOperators:
 
         ``E`` is the discrete harmonic extension of the boundary identity
         (column ``j`` extends the unit vector of boundary node ``j``).  Both
-        forms are ``nb x nb``, read-only and built at most once.  Built
-        alone, the Schur form (the stiffness matrix's boundary rows applied
-        to ``E``) extends two solve blocks of ``E`` per call, so it never
-        holds more of ``E``.  The Gram form needs all of ``E`` (``n x nb``,
-        dropped on return), extended in one call; it is multiplied out on
-        and below its diagonal ``_FORM_BLOCK`` rows at a time and mirrored,
-        so it is exactly symmetric, and its extension also yields the Schur
-        form.  Each row block's mass product ``M E[:, cols]`` is formed
-        ``_SOLVE_BLOCK`` columns at a time into one reused ``n x
+        forms are ``nb x nb``, read-only and built at most once.  Either
+        form extends the whole identity in one call (``E`` is ``n x nb``,
+        dropped on return) and takes the Schur form, the stiffness matrix's
+        boundary rows applied to ``E``; built alone, the Schur form skips
+        the Gram product.  The Gram form is multiplied out on and below its
+        diagonal ``_FORM_BLOCK`` rows at a time and mirrored, so it is
+        exactly symmetric.  Each row block's mass product ``M E[:, cols]``
+        is formed ``_SOLVE_BLOCK`` columns at a time into one reused ``n x
         _FORM_BLOCK`` buffer, so beside ``E`` and the forms the build holds
         that buffer and thin blocks only.
         """
@@ -452,15 +451,6 @@ class AssembledOperators:
 
     def _extend_identity(self, gram: bool) -> dict[str, np.ndarray]:
         nb = self.boundary_idx.size
-        k_b = self.stiffness_b
-        if not gram:
-            # Two solve blocks per call keep both workers busy.
-            schur = np.empty((nb, nb))
-            for cols in _column_blocks(nb, 2 * _SOLVE_BLOCK):
-                unit = np.zeros((nb, cols.stop - cols.start))
-                unit[cols] = np.eye(cols.stop - cols.start)
-                schur[:, cols] = k_b @ self.extend_boundary_columns(unit)
-            return {"schur": schur}
         # The identity as a strided view of 2 nb - 1 floats: no nb x nb array
         # is held while the extension's blocks are in flight.
         diagonal = np.zeros(2 * nb - 1)
@@ -470,6 +460,8 @@ class AssembledOperators:
             diagonal[nb - 1 :], (nb, nb), (-step, step), writeable=False
         )
         ext = self.extend_boundary_columns(identity)
+        if not gram:
+            return {"schur": self.stiffness_b @ ext}
         n = self.n_vertices
         blocks = _column_blocks(nb, _FORM_BLOCK)
         form = np.empty((nb, nb))
@@ -482,7 +474,8 @@ class AssembledOperators:
             form[cols, : cols.stop] = m_cols.T @ ext[:, : cols.stop]
         upper = np.triu_indices(nb, 1)
         form[upper] = form.T[upper]
-        return {"gram": form, "schur": k_b @ ext}
+        # After the Gram product, so its working set does not grow by the Schur form.
+        return {"gram": form, "schur": self.stiffness_b @ ext}
 
     def extend_boundary_columns(self, g_columns: np.ndarray) -> np.ndarray:
         """Discrete harmonic extension of boundary data, one column per field."""

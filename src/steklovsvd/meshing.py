@@ -325,7 +325,7 @@ class Mesh:
         with np.errstate(over="ignore", invalid="ignore"):
             shoelace, _ = boundary_polygon_measures(self)
             area = self.area
-        if not abs(area - shoelace) <= 1e-10 * max(abs(shoelace), 1.0):
+        if not abs(area - shoelace) <= 1e-10 * abs(shoelace):
             raise ValueError(f"interior weights sum {area!r} != polygon area {shoelace!r}")
 
     # -- point queries ----------------------------------------------------------

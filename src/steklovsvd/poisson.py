@@ -85,7 +85,7 @@ def _boundary_node_index(svd: PoissonSvd, z) -> int:
     dist = np.hypot(*(coords - z).T)
     idx = int(np.argmin(dist))
     extent = float(np.ptp(mesh.vertices, axis=0).max())
-    if dist[idx] > 1e-8 * max(extent, 1.0):
+    if dist[idx] > 1e-8 * extent:
         raise OutsideDomainError(f"{tuple(z.tolist())} is not a boundary node of the mesh")
     return idx
 

@@ -263,8 +263,8 @@ def _check_modes(m: int, limit: int, what: str):
 #   of a single solve;
 # * the Gram product costs 0.03 columns per unit of n * nb**2 / (LU nonzeros),
 #   read from the mesh's factor.
-# Dense is never chosen when the n x nb extension that builds the Gram form
-# (8 n nb bytes) would exceed the memory ceiling, for either problem.
+# Dense is never chosen when the n x nb extension that builds either form
+# (8 n nb bytes) would exceed the memory ceiling.
 _BLOCK_COLUMN = 0.55
 _GRAM_COST = 0.03
 _DENSE_MEMORY_LIMIT = 2**28  # bytes

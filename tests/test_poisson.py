@@ -157,6 +157,17 @@ class TestKernelEvaluation:
         with pytest.raises(OutsideDomainError, match="is not a boundary node"):
             poisson_kernel_eval(svd, None, offset, z + (0.0, 5e-6))
 
+    @pytest.mark.parametrize("radius", [1.0, 1e-6])
+    def test_boundary_node_tolerance_scales_with_the_domain(self, radius):
+        # An offset of 3e-3 of the radius is off the node at any size: an
+        # absolute floor of 1e-8 once took 3e-9 as the node on the small disk.
+        mesh = disk_mesh(radius, 0.1 * radius)
+        svd = PoissonSvd.from_basis(dbs_eigensolve(mesh, 6))
+        z = mesh.vertices[mesh.boundary_nodes[0]]
+        assert np.isfinite(poisson_kernel_eval(svd, None, (0.0, 0.0), z))
+        with pytest.raises(OutsideDomainError, match="is not a boundary node"):
+            poisson_kernel_eval(svd, None, (0.0, 0.0), z + (0.0, 3e-3 * radius))
+
     def test_margin_errors_share_one_text(self, disk_svd):
         # One check serves both kernels: each names the first point inside
         # the margin, and the margin.
