@@ -432,7 +432,8 @@ class AssembledOperators:
         form extends the whole identity in one call (``E`` is ``n x nb``,
         dropped on return) and takes the Schur form, the stiffness matrix's
         boundary rows applied to ``E``; built alone, the Schur form skips
-        the Gram product.  The Gram form is multiplied out on and below its
+        the Gram product but still holds all of ``E`` (``8 n nb`` bytes)
+        while it is built.  The Gram form is multiplied out on and below its
         diagonal ``_FORM_BLOCK`` rows at a time and mirrored, so it is
         exactly symmetric.  Each row block's mass product ``M E[:, cols]``
         is formed ``_SOLVE_BLOCK`` columns at a time into one reused ``n x

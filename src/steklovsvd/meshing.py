@@ -322,8 +322,10 @@ class Mesh:
         if np.any(self.outward_clearance() <= 0):
             raise ValueError("boundary normal does not point outward")
         # Quadrature exactness on the boundary polygon; sums past the float range fail too.
+        # Edges are taken from one boundary node: rounding scales with the domain, not its offset.
         with np.errstate(over="ignore", invalid="ignore"):
-            shoelace, _ = boundary_polygon_measures(self)
+            e = self.vertices[self.boundary_edges] - self.vertices[self.boundary_nodes[0]]
+            shoelace = 0.5 * float(np.sum(e[:, 0, 0] * e[:, 1, 1] - e[:, 1, 0] * e[:, 0, 1]))
             area = self.area
         if not abs(area - shoelace) <= 1e-10 * abs(shoelace):
             raise ValueError(f"interior weights sum {area!r} != polygon area {shoelace!r}")

@@ -415,7 +415,8 @@ def harmonic_steklov_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") 
     chosen as in :func:`dbs_eigensolve`, with the Schur form in place of
     the Gram form: "dense" builds only the Schur form on a mesh that has
     neither, and "auto" picks dense whenever the Schur form is cached
-    (any dense solve on the mesh leaves it).
+    (any dense solve on the mesh leaves it).  The build holds the whole
+    ``n x nb`` extension; "auto" bounds it by 256 MiB, "dense" does not.
     """
     ops = operators(mesh)
     _check_modes(n_modes, ops.boundary_idx.size, "boundary-node")

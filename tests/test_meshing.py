@@ -300,11 +300,19 @@ class TestSizeAndScale:
         mesh = make()
         assert mesh.area == pytest.approx(boundary_polygon_measures(mesh)[0], rel=1e-13)
 
-    @pytest.mark.parametrize("radius", [1.0, 1e-6])
-    def test_weights_off_the_polygon_area_are_refused_at_any_size(self, radius):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: disk_mesh(1.0, 0.1),
+            lambda: disk_mesh(1e-6, 1e-7),
+            lambda: transform(disk_mesh(1e-4, 1e-5), 0.7, (0.31, -1.25)),
+        ],
+        ids=["unit", "small", "small_moved"],
+    )
+    def test_weights_off_the_polygon_area_are_refused_at_any_size(self, make):
         # The quadrature check is relative to the area: an absolute floor of
         # 1e-10 once let a domain of area 3e-12 through with twice its area.
-        mesh = disk_mesh(radius, 0.1 * radius)
+        mesh = make()
         with pytest.raises(ValueError, match=r"^interior weights sum .* != polygon area "):
             Mesh(mesh.vertices, mesh.triangles, areas=2 * mesh.interior_weights)
 

@@ -35,6 +35,16 @@ def test_all_suites_pass_on_square(square_coarse):
     assert not failed, "\n".join(r.line() for r in failed)
 
 
+def test_all_suites_pass_on_a_small_disk():
+    # The spectra suite solves a copy moved by (0.31, -1.25).  Taken from the
+    # origin, the shoelace of that copy is off by 1.4e-9 of its area, as each
+    # product is about 1.25**2 in size; taken from a boundary node, its
+    # rounding scales with the disk.
+    results = run_suites(disk_mesh(1e-4, 1e-5), ("all",), n_modes=12)
+    failed = [r for r in results if not r.passed]
+    assert not failed, "\n".join(r.line() for r in failed)
+
+
 def test_spectra_suite_frees_each_transformed_copy(square_coarse, monkeypatch):
     # The basis, the moved copy, then the scaled copy: the moved copy (and
     # with it its operators and LU) is gone before the scaled one is solved.
