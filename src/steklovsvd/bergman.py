@@ -91,7 +91,8 @@ class BergmanDecomposition:
     ``potential`` has zero trace; ``flux_norm`` is the normalized boundary
     norm of its recovered flux, which vanishes as the truncation rank and
     the mesh are refined.  ``converged`` records whether the flux is at most
-    ``1e-2`` times the root-mean-square of ``f``.
+    ``1e-2`` times the root-mean-square of ``f`` times the mesh's ``scale``
+    (the flux of a potential of ``f`` is ``f`` times a length).
     """
 
     harmonic: InteriorField
@@ -133,9 +134,8 @@ def biharmonic_potential(
     psi = InteriorField(basis.mesh, ops.dirichlet_solve(mr))
     flux_norm = BoundaryField(basis.mesh, ops.boundary_flux(psi.values, mr)).norm_normalized()
     rms = scale / np.sqrt(basis.mesh.area)
-    return BergmanDecomposition(
-        harmonic, psi, remainder, flux_norm, bool(flux_norm <= _FLUX_TOL * rms)
-    )
+    converged = bool(flux_norm <= _FLUX_TOL * rms * basis.mesh.scale)
+    return BergmanDecomposition(harmonic, psi, remainder, flux_norm, converged)
 
 
 def neumann_biharmonic_extension(

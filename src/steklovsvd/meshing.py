@@ -2,8 +2,8 @@
 
 A :class:`Mesh` stores a triangulation of a bounded convex planar domain
 together with everything the solvers need: counterclockwise triangles with
-areas above a scale-free floor, ordered closed boundary loops, unit outward normals, and
-quadrature weights.  Interior quadrature is exact per-triangle area
+areas above a floor set by the mesh's frame, ordered closed boundary loops, unit outward
+normals, and quadrature weights.  Interior quadrature is exact per-triangle area
 (midpoint rule on piecewise constants); boundary quadrature is the
 trapezoid rule on boundary edges, which is exact for piecewise-linear
 boundary data and therefore consistent with the P1 element order used
@@ -64,23 +64,17 @@ def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
         return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def boundary_polygon_measures(mesh: Mesh) -> tuple[float, float]:
-    """Area (shoelace formula) and perimeter of the boundary polygon, over all loops."""
-    area = 0.0
-    length = 0.0
-    for loop in mesh.boundary_loops:
-        p = mesh.vertices[loop]
-        q = mesh.vertices[np.roll(loop, -1)]
-        area += 0.5 * float(np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
-        length += float(np.sum(np.hypot(*(q - p).T)))
-    return area, length
+def _frame(vertices: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(origin, scale)`` of the frame of ``vertices``, as :class:`Mesh` defines them."""
+    lo, hi = vertices.min(axis=0), vertices.max(axis=0)
+    mantissa, exponent = math.frexp(float(np.max(0.5 * hi - 0.5 * lo)))
+    scale = math.ldexp(1.0, min(exponent - (mantissa == 0.5), 1023))
+    return scale * np.trunc((0.5 * lo + 0.5 * hi) / scale), scale
 
 
-def _flat(vertices: np.ndarray, areas: np.ndarray) -> np.ndarray:
-    """Mask of the finite signed ``areas`` not above ``1e-14 * scale * scale`` in size, ``scale``
-    the largest absolute coordinate: a power-of-two scaling moves no area across it.  (An
+def _flat(areas: np.ndarray, scale: float) -> np.ndarray:
+    """Mask of the finite signed ``areas`` not above ``1e-14 * scale * scale`` in size.  (An
     overflowed area is no sliver; ``scale ** 2`` would raise OverflowError near 1e154.)"""
-    scale = float(np.max(np.abs(vertices))) if vertices.size else 0.0
     return np.isfinite(areas) & (np.abs(areas) <= 1e-14 * scale * scale)
 
 
@@ -134,8 +128,8 @@ class Mesh:
         Vertex coordinates.
     triangles : (t, 3) array_like
         Vertex index triples, counterclockwise with finite areas above ``1e-14``
-        times the largest absolute coordinate squared; use the module generators
-        rather than building by hand unless you control orientation.
+        times ``scale`` squared; use the module generators rather than building
+        by hand unless you control orientation.
     geometry : tuple
         ``("polygon",)`` for straight-sided domains, or
         ``("disk", cx, cy, radius)`` for disk meshes whose boundary nodes
@@ -164,6 +158,12 @@ class Mesh:
         Triangle areas; sums to the polygonal area.
     normals : ndarray, shape (e, 2)
         Unit outward normal per boundary edge.
+    origin, scale : ndarray, float
+        The frame that sets every geometric tolerance.  ``scale`` is the least
+        power of two not below the bounding box's half-extent (1 for the unit
+        disk), so a power-of-two scaling scales it exactly; ``origin`` is the
+        box's centre truncated to a whole multiple of ``scale`` (zero within one
+        scale of zero), so coordinates taken from it round with the domain's size.
     """
 
     def __init__(self, vertices, triangles, geometry=("polygon",), *, areas=None):
@@ -181,12 +181,13 @@ class Mesh:
         if bad.size:
             node = int(bad[0])
             raise ValueError(f"mesh node {node} is not finite: {tuple(v[node].tolist())}")
+        self.origin, self.scale = _frame(v)
         areas = _signed_areas(v, t) if areas is None else np.array(areas, dtype=float)
-        bad = np.flatnonzero(~(np.isfinite(areas) & (areas > 0)) | _flat(v, areas))
+        bad = np.flatnonzero(~(np.isfinite(areas) & (areas > 0)) | _flat(areas, self.scale))
         if bad.size:
             raise ValueError(
                 f"triangle {bad[0]} has signed area {float(areas[bad[0]])!r}: each must be finite "
-                "and above 1e-14 times the largest absolute coordinate squared"
+                f"and above 1e-14 times the mesh scale squared (scale {self.scale!r})"
             )
 
         self.vertices = v
@@ -201,6 +202,7 @@ class Mesh:
         self.interior_nodes = np.flatnonzero(~self.is_boundary)
 
         for arr in (
+            self.origin,
             self.vertices,
             self.triangles,
             self.interior_weights,
@@ -317,17 +319,26 @@ class Mesh:
         centroid = self.vertices[self.triangles[self._edge_owner_triangle]].mean(axis=1)
         return np.einsum("ij,ij->i", self.normals, 0.5 * (ends[:, 0] + ends[:, 1]) - centroid)
 
+    def polygon_measures(self) -> tuple[float, float]:
+        """Area (shoelace formula) and perimeter of the boundary polygon, over all loops,
+        from coordinates taken relative to ``origin``; past the float range they are inf or nan."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = self.vertices[self.boundary_edges] - self.origin
+            area = 0.5 * float(np.sum(e[:, 0, 0] * e[:, 1, 1] - e[:, 1, 0] * e[:, 0, 1]))
+            return area, float(np.sum(np.hypot(*(e[:, 1] - e[:, 0]).T)))
+
     def validate(self):
-        """Check the invariants that construction leaves open; raises ``ValueError``."""
+        """Check the invariants that construction leaves open; raises ``ValueError``.
+
+        Every boundary normal points outward, and the interior weights sum to
+        the boundary polygon's area within ``1e-10 * scale**2``.
+        """
         if np.any(self.outward_clearance() <= 0):
             raise ValueError("boundary normal does not point outward")
-        # Quadrature exactness on the boundary polygon; sums past the float range fail too.
-        # Edges are taken from one boundary node: rounding scales with the domain, not its offset.
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = self.vertices[self.boundary_edges] - self.vertices[self.boundary_nodes[0]]
-            shoelace = 0.5 * float(np.sum(e[:, 0, 0] * e[:, 1, 1] - e[:, 1, 0] * e[:, 0, 1]))
+        shoelace, _ = self.polygon_measures()
+        with np.errstate(over="ignore"):
             area = self.area
-        if not abs(area - shoelace) <= 1e-10 * abs(shoelace):
+        if not abs(area - shoelace) <= 1e-10 * self.scale * self.scale:
             raise ValueError(f"interior weights sum {area!r} != polygon area {shoelace!r}")
 
     # -- point queries ----------------------------------------------------------
@@ -609,7 +620,7 @@ def build_polygon_mesh(vertices, target_h: float) -> Mesh:
     # slanted edge into zero-area slivers along the boundary: drop those.
     # Mesh refuses any other degenerate triangle.
     areas = _signed_areas(pts, triangles)
-    keep = ~(_flat(pts, areas) & np.all(triangles < boundary_pts.shape[0], axis=1))
+    keep = ~(_flat(areas, _frame(pts)[1]) & np.all(triangles < boundary_pts.shape[0], axis=1))
     triangles = _orient_ccw(triangles[keep], areas[keep])
     return Mesh(pts, triangles, ("polygon",), areas=np.abs(areas[keep]))
 

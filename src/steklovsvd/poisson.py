@@ -84,8 +84,7 @@ def _boundary_node_index(svd: PoissonSvd, z) -> int:
     coords = mesh.vertices[mesh.boundary_nodes]
     dist = np.hypot(*(coords - z).T)
     idx = int(np.argmin(dist))
-    extent = float(np.ptp(mesh.vertices, axis=0).max())
-    if dist[idx] > 1e-8 * extent:
+    if dist[idx] > 1e-8 * mesh.scale:
         raise OutsideDomainError(f"{tuple(z.tolist())} is not a boundary node of the mesh")
     return idx
 
@@ -171,6 +170,6 @@ def truncation_error_report(
     ghat = basis.boundary_coeffs(g)[:m]
     tail_sq = max(g.inner_normalized(g) - float(ghat @ ghat), 0.0)
     bound = float(np.sqrt(svd.boundary_length / basis.q[m] * tail_sq))
-    scale = max(g.norm_normalized(), 1e-300)
-    ratio = 0.0 if bound <= 1e-14 * scale else error / bound
+    # The bound is a norm of g times a length: below 1e-14 of that, g has no tail.
+    ratio = 0.0 if bound <= 1e-14 * g.norm_normalized() * basis.mesh.scale else error / bound
     return TruncationReport(m, error, bound, ratio)

@@ -421,7 +421,7 @@ def harmonic_steklov_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") 
     ops = operators(mesh)
     _check_modes(n_modes, ops.boundary_idx.size, "boundary-node")
     delta, g_cols = _boundary_spectrum(mesh, n_modes, method, "dtn", dtn_apply)
-    if delta[0] < -1e-8 * max(abs(delta[-1]), 1.0):
+    if delta[0] < -1e-8 / mesh.scale:  # delta is an inverse length
         raise IterationLimitError("Dirichlet-to-Neumann spectrum came out negative")
     delta = np.maximum(delta, 0.0)
     g_cols = g_cols * np.sqrt(mesh.boundary_length)
@@ -435,16 +435,17 @@ def harmonic_steklov_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") 
 def dirichlet_laplacian_eigensolve(mesh: Mesh, n_modes: int) -> DirichletSpectrum:
     """Smallest ``n_modes`` Dirichlet Laplacian eigenpairs, L2-orthonormal.
 
-    Dense ``eigh`` with at most 600 interior nodes or ``n_modes > interior
+    Dense ``eigh`` with at most 200 interior nodes or ``n_modes > interior
     nodes - 2``, else shift-invert ARPACK about zero with the mesh's cached
-    interior LU; the cost model of ``method="auto"`` does not apply.
+    interior LU (the crossover of 5 modes, with one BLAS thread); the cost
+    model of ``method="auto"`` does not apply.
     """
     ops = operators(mesh)
     ni = ops.interior_idx.size
     _check_modes(n_modes, ni, "interior-node")
     a_ii = ops.stiffness[ops.interior_idx][:, ops.interior_idx]
     m_ii = ops.mass[ops.interior_idx][:, ops.interior_idx]
-    if ni <= 600 or n_modes > ni - 2:
+    if ni <= 200 or n_modes > ni - 2:
         vals, vecs = sla.eigh(
             a_ii.toarray(), m_ii.toarray(), subset_by_index=[0, n_modes - 1]
         )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from steklovsvd import refine
+from steklovsvd import refine, transform
 from steklovsvd.bergman import (
     TruncatedKernel,
     bergman_project,
@@ -175,6 +175,17 @@ class TestBiharmonicPotential:
             dec = biharmonic_potential(f, disk_mid_basis)
         coeffs = disk_mid_basis.interior_coeffs(dec.remainder)
         assert np.max(np.abs(coeffs)) < 1e-8 * f.norm_l2()
+
+    @pytest.mark.parametrize("k", [-50, 10])
+    def test_convergence_does_not_depend_on_the_scale(self, disk_mid_basis, k):
+        # The flux is f times a length, and it was compared with f alone.
+        mesh = disk_mid_basis.mesh
+        f = radial_squared_minus_one(mesh)
+        scaled = dbs_eigensolve(transform(mesh, scale=2.0**k), disk_mid_basis.rank)
+        dec = biharmonic_potential(f, disk_mid_basis)
+        moved = biharmonic_potential(InteriorField(scaled.mesh, f.values), scaled)
+        assert moved.flux_norm == pytest.approx(2.0**k * dec.flux_norm, rel=1e-9)
+        assert moved.converged == dec.converged
 
     def test_split_is_consistent(self, disk_mid_basis):
         mesh = disk_mid_basis.mesh

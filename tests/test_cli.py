@@ -241,6 +241,19 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert all(l.split()[1].split(".")[0] in ("mesh", "solver") for l in lines[:-1])
 
+    def test_few_interior_nodes_run_and_none_is_one_error_line(self, tmp_path, capsys, recwarn):
+        # bergman asked for five Dirichlet modes whatever the mesh held.
+        verts = tmp_path / "square.txt"
+        verts.write_text("0 0\n1.25 0\n1.25 1.25\n0 1.25\n")  # 4 interior nodes at h 0.5
+        code = run(["verify", "--suite", "all", "--domain", "polygon", "--vertices-file", verts,
+                    "--h", "0.5", "--modes", "3"])
+        assert code in (0, 2) and "error" not in capsys.readouterr().err
+        out = tmp_path / "report.json"
+        code = run(["verify", "--suite", "bergman", "--domain", "polygon", "--vertices-file", verts,
+                    "--h", "1.5", "--out", out])
+        err = assert_one_input_error(code, capsys, recwarn, out)
+        assert err == "error: M=1 exceeds the interior-node capacity 0 of this mesh\n"
+
     def test_unknown_suite_is_input_error(self):
         assert run(["verify", "--suite", "nonsense", "--domain", "disk", "--h", "0.2"]) == 1
 

@@ -24,10 +24,10 @@ from steklovsvd.fem import interpolate_values
 from steklovsvd.meshing import (
     Mesh,
     _flat,
+    _frame,
     _orient_ccw,
     _segment_distances,
     _signed_areas,
-    boundary_polygon_measures,
 )
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -149,7 +149,7 @@ class TestInvariants:
     def test_quadrature_matches_polygon_exactly(self, make):
         mesh = make()
         area, length = shoelace(mesh)
-        assert boundary_polygon_measures(mesh) == pytest.approx((area, length), rel=1e-13)
+        assert mesh.polygon_measures() == pytest.approx((area, length), rel=1e-13)
         assert mesh.area == pytest.approx(area, rel=1e-13)
         assert mesh.boundary_length == pytest.approx(length, rel=1e-13)
         assert np.all(mesh.interior_weights > 0)
@@ -178,7 +178,7 @@ class TestInvariants:
             Mesh(vertices, [[0, 1, 2], second], areas=areas)
         assert str(exc.value) == (
             f"triangle 1 has signed area {text}: each must be finite and above 1e-14 times "
-            "the largest absolute coordinate squared"
+            "the mesh scale squared (scale 0.5)"
         )
 
     def test_an_empty_triangulation_is_refused(self):
@@ -298,7 +298,28 @@ class TestSizeAndScale:
     )
     def test_a_domain_smaller_than_one_builds(self, make):
         mesh = make()
-        assert mesh.area == pytest.approx(boundary_polygon_measures(mesh)[0], rel=1e-13)
+        assert mesh.area == pytest.approx(mesh.polygon_measures()[0], rel=1e-13)
+
+    def test_the_frame_is_one_on_unit_domains_and_follows_powers_of_two(self):
+        w, h = 1.2247448713915889, 0.816496580927726
+        rect = [(0, 0), (w, 0), (w, h), (0, h)]
+        for mesh in disk_mesh(1.0, 0.2), build_polygon_mesh(rect, 0.02):
+            assert mesh.scale == 1.0 and np.all(mesh.origin == 0.0)
+        mesh = build_polygon_mesh(PENTAGON, 0.3)  # half-extents 2 and 1.5
+        assert mesh.scale == 2.0 and np.all(mesh.origin == 0.0)
+        for k in (-40, 30):
+            scaled = transform(mesh, scale=2.0**k)
+            assert scaled.scale == mesh.scale * 2.0**k and np.all(scaled.origin == 0.0)
+        moved = transform(mesh, offset=(1000.5, -5.0))  # centre (1001.5, -3.5)
+        assert moved.scale == mesh.scale and np.array_equal(moved.origin, [1000.0, -2.0])
+
+    def test_a_mesh_far_from_the_origin_builds(self):
+        # An area floor from the largest absolute coordinate refused this copy
+        # of the unit disk, though its triangles are the disk's.
+        for offset in 1e6, 1e7:
+            moved = transform(disk_mesh(1.0, 0.1), offset=(offset, 0.0))
+            assert moved.scale == 1.0
+            assert moved.polygon_measures()[0] == pytest.approx(moved.area, rel=1e-12)
 
     @pytest.mark.parametrize(
         "make",
@@ -310,8 +331,8 @@ class TestSizeAndScale:
         ids=["unit", "small", "small_moved"],
     )
     def test_weights_off_the_polygon_area_are_refused_at_any_size(self, make):
-        # The quadrature check is relative to the area: an absolute floor of
-        # 1e-10 once let a domain of area 3e-12 through with twice its area.
+        # The quadrature check is relative to the scale squared: an absolute
+        # floor of 1e-10 once let a domain of area 3e-12 through with twice its area.
         mesh = make()
         with pytest.raises(ValueError, match=r"^interior weights sum .* != polygon area "):
             Mesh(mesh.vertices, mesh.triangles, areas=2 * mesh.interior_weights)
@@ -800,7 +821,7 @@ def ref_build_polygon_mesh(vertices, target_h: float) -> Mesh:
     # slanted edge into zero-area slivers along the boundary: drop those.
     # Mesh refuses any other degenerate triangle.
     areas = _signed_areas(pts, triangles)
-    sliver = _flat(pts, areas) & np.all(triangles < boundary_pts.shape[0], axis=1)
+    sliver = _flat(areas, _frame(pts)[1]) & np.all(triangles < boundary_pts.shape[0], axis=1)
     triangles = _orient_ccw(triangles[~sliver], areas[~sliver])
     return Mesh(pts, triangles, geometry=("polygon",))
 

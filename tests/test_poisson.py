@@ -227,6 +227,19 @@ class TestTruncationReport:
         assert report.bound < 1e-12
         assert report.ratio == 0.0
 
+    @pytest.mark.parametrize("k", [-60, -50, 10])
+    def test_ratio_does_not_depend_on_the_scale(self, k):
+        # The zero-tail test compared the bound, a norm of g times a length,
+        # with 1e-14 times the norm of g: below 2**-50 every ratio read 0.
+        ratios = []
+        for scale in 1.0, 2.0**k:
+            mesh = transform(disk_mesh(1.0, 0.1), scale=scale)
+            data = np.random.default_rng(1).standard_normal(mesh.boundary_nodes.size)
+            g = BoundaryField(mesh, data)
+            svd = PoissonSvd.from_basis(dbs_eigensolve(mesh, 12))
+            ratios.append(truncation_error_report(g, svd, 5).ratio)
+        assert ratios[1] == ratios[0] > 0.5
+
     def test_random_data_ratio_in_unit_interval(self, disk_svd):
         mesh = disk_svd.basis.mesh
         rng = np.random.default_rng(12)

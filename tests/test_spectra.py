@@ -231,6 +231,14 @@ class TestHarmonicSteklov:
         for method in ("dense", "auto"):
             assert harmonic_steklov_eigensolve(mesh, nb, method=method).delta.size == nb
 
+    def test_negativity_guard_scales_with_the_mesh(self):
+        # delta_1 is -6.1e-15 here at M = 1, so -6.7e-3 on the copy scaled by
+        # 2**-40: rounding, which an absolute guard of -1e-8 refused.
+        mesh = disk_mesh(1.0, 0.15)
+        for k in (0, -40):
+            delta = harmonic_steklov_eigensolve(transform(mesh, scale=2.0**k), 1, "lanczos").delta
+            assert delta.tolist() == [0.0]
+
     def test_lanczos_agrees_with_dense(self, disk_coarse):
         dense = harmonic_steklov_eigensolve(disk_coarse, 6, method="dense").delta
         lanczos = harmonic_steklov_eigensolve(disk_coarse, 6, method="lanczos").delta

@@ -138,7 +138,7 @@ def ref_dirichlet(mesh, n_modes):
     ni = ops.interior_idx.size
     a_ii = ops.stiffness[ops.interior_idx][:, ops.interior_idx]
     m_ii = ops.mass[ops.interior_idx][:, ops.interior_idx]
-    if ni <= 600 or n_modes > ni - 2:
+    if ni <= 200 or n_modes > ni - 2:
         vals, vecs = sla.eigh(
             a_ii.toarray(), m_ii.toarray(), subset_by_index=[0, n_modes - 1]
         )
@@ -186,8 +186,10 @@ PENTAGON = [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)]
 MESHES = {
     # 1,338 interior nodes: shift-invert; DBS and DtN clusters at 20 modes.
     "disk_h05": lambda: disk_mesh(1.0, 0.05),
-    # 318 interior nodes: the dense Dirichlet branch.
+    # 318 interior nodes: shift-invert.
     "disk_h1": lambda: disk_mesh(1.0, 0.1),
+    # 142 interior nodes: the dense Dirichlet branch.
+    "disk_h15": lambda: disk_mesh(1.0, 0.15),
     "pentagon": lambda: build_polygon_mesh(PENTAGON, 0.1),
     "read_back_refined": lambda: read_mesh_text(write_mesh_text(refine(disk_mesh(1.0, 0.1)))),
 }
@@ -231,8 +233,8 @@ def test_dirichlet_matches_reference(mesh, n_modes):
 
 
 def test_cases_cover_every_branch_and_a_cluster():
-    disk, coarse = MESHES["disk_h05"](), MESHES["disk_h1"]()
-    assert operators(disk).interior_idx.size > 600 >= operators(coarse).interior_idx.size
+    disk, coarse = MESHES["disk_h05"](), MESHES["disk_h15"]()
+    assert operators(disk).interior_idx.size > 200 >= operators(coarse).interior_idx.size
     assert clusters(dbs_eigensolve(disk, 20, "dense").q) >= 1
     delta = np.array([p.delta for p in harmonic_steklov_eigensolve(disk, 20, "dense")])
     assert clusters(delta) >= 1

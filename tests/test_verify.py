@@ -8,6 +8,7 @@ from steklovsvd import (
     dbs_eigensolve,
     dirichlet_laplacian_eigensolve,
     disk_mesh,
+    transform,
     verify,
 )
 from steklovsvd.fem import (
@@ -36,13 +37,32 @@ def test_all_suites_pass_on_square(square_coarse):
 
 
 def test_all_suites_pass_on_a_small_disk():
-    # The spectra suite solves a copy moved by (0.31, -1.25).  Taken from the
-    # origin, the shoelace of that copy is off by 1.4e-9 of its area, as each
-    # product is about 1.25**2 in size; taken from a boundary node, its
-    # rounding scales with the disk.
+    # The spectra suite solves a moved copy.  Taken from the origin, the
+    # shoelace of a copy moved by (0.31, -1.25) was off by 1.4e-9 of its area,
+    # as each product is about 1.25**2 in size; taken from the frame's origin,
+    # its rounding scales with the disk.
     results = run_suites(disk_mesh(1e-4, 1e-5), ("all",), n_modes=12)
     failed = [r for r in results if not r.passed]
     assert not failed, "\n".join(r.line() for r in failed)
+
+
+@pytest.mark.parametrize("copy", ["2**-20", "2**-10", "2**10", "2**20", "2**30", "moved"])
+@pytest.mark.parametrize("domain", ["disk", "pentagon"])
+def test_all_suites_pass_at_every_scale_and_far_from_the_origin(domain, copy):
+    # Every allowed value reads the mesh's frame or the data, and a
+    # power-of-two scale scales the frame exactly, so each copy passes as the
+    # mesh does.  Absolute tolerances failed at 2**20 and 2**30, an area floor
+    # from the largest coordinate refused the spectra suite's moved copy at
+    # 2**-20, and the shoelace from the origin failed the moved copy.
+    mesh = disk_mesh(1.0, 0.1) if domain == "disk" else build_polygon_mesh(PENTAGON, 0.3)
+    if copy == "moved":
+        extent = float(np.max(np.ptp(mesh.vertices, axis=0)))
+        mesh = transform(mesh, offset=(1e3 * extent, 1e3 * extent))
+    else:
+        mesh = transform(mesh, scale=2.0 ** int(copy[3:]))
+    failed = [r.line() for r in run_suites(mesh, ("all",), 20) if not r.passed]
+    assert not failed
+
 
 
 def test_spectra_suite_frees_each_transformed_copy(square_coarse, monkeypatch):
@@ -116,45 +136,45 @@ def test_array_identities_equal_per_mode_loops(domain):
 # allowed value on the disk (h 0.1) and on the pentagon (h 0.2); ``None``
 # where that mesh has no such check.
 CHECKS = [
-    ("mesh.area_quadrature_exact", 3.1363871677682245e-10, 7.500000000000002e-10),
-    ("mesh.perimeter_quadrature_exact", 6.280581593247842e-10, 1.0714776642118867e-09),
+    ("mesh.area_quadrature_exact", 1e-10, 4e-10),
+    ("mesh.perimeter_quadrature_exact", 1e-10, 2e-10),
     ("mesh.normals_outward", 1e-300, 1e-300),
     ("mesh.refine_quadruples_triangles", 0.0, 0.0),
     ("mesh.refine_grows_disk_boundary", 0.0, None),
-    ("mesh.refine_halves_max_edge", None, 3.0000616820785057e-13),
-    ("solver.linear_solution_exact", 1e-10, 1e-10),
-    ("solver.constant_extension_exact", 1e-10, 1e-10),
-    ("solver.linear_flux_exact", 1e-10, 1e-10),
+    ("mesh.refine_halves_max_edge", None, 3e-14),
+    ("solver.linear_solution_exact", 4e-11, 1.2e-10),
+    ("solver.constant_extension_exact", 3.5e-11, 3.5e-11),
+    ("solver.linear_flux_exact", 4e-11, 6e-11),
     ("solver.zero_data_zero_solution", 0.0, 0.0),
-    ("solver.t_apply_symmetric", 1e-10, 1e-10),
-    ("solver.t_apply_positive", -1e-12, -1e-12),
-    ("solver.green_identity_residual", 1e-08, 4.7198674902492204e-08),
+    ("solver.t_apply_symmetric", 1e-10, 2e-10),
+    ("solver.t_apply_positive", -1e-12, -2e-12),
+    ("solver.green_identity_residual", 3.487337566696549e-11, 2.4715028626646663e-09),
     ("spectra.q_strictly_positive", 1e-300, 1e-300),
-    ("spectra.q_sorted_ascending", -1e-12, -1e-12),
+    ("spectra.q_sorted_ascending", -1e-12, -5e-13),
     ("spectra.h_gram_identity", 1e-08, 1e-08),
     ("spectra.w_gram_identity", 1e-08, 1e-08),
-    ("spectra.trace_flux_identity", 1e-06, 1e-06),
+    ("spectra.trace_flux_identity", 1e-06, 5e-07),
     ("spectra.flux_energy_reciprocal", 1e-06, 1e-06),
     ("spectra.flux_continuity_bound", 1.00000001, 1.00000001),
     ("spectra.laplacian_norm_equivalence", 1.00000001, 1.00000001),
-    ("spectra.steklov_first_eigenvalue_zero", 1e-08, 1e-08),
+    ("spectra.steklov_first_eigenvalue_zero", 1e-08, 5e-09),
     ("spectra.steklov_first_mode_constant", 1e-08, 1e-08),
     ("spectra.trace_norm_parseval", 1e-08, 1e-08),
-    ("spectra.rigid_motion_invariance", 1e-10, 1e-10),
+    ("spectra.rigid_motion_invariance", 4e-11, 6e-11),
     ("spectra.scaling_law", 1e-10, 1e-10),
     ("spectra.disk_multiplicity_pairs", 0.00401100905232124, None),
     ("bergman.projection_idempotent", 1e-10, 1e-10),
     ("bergman.residual_orthogonal", 1e-08, 1e-08),
     ("bergman.pythagoras", 1e-10, 1e-10),
     ("bergman.contraction", 1.000000000001, 1.000000000001),
-    ("bergman.kernel_gram_psd", -1e-08, -1e-08),
+    ("bergman.kernel_gram_psd", -1e-08, -2.5e-09),
     ("bergman.projection_separates_dirichlet_modes", 0.1, 0.1),
-    ("poisson.svd_maps_right_to_left", 1e-08, 1e-08),
-    ("poisson.singular_values_nonincreasing", 1e-12, 1e-12),
+    ("poisson.svd_maps_right_to_left", 1e-08, 2e-08),
+    ("poisson.singular_values_nonincreasing", 1e-12, 1.4142135623730952e-12),
     ("poisson.singular_values_decay", 0.35334068653876205, 0.4438144107349924),
     ("poisson.truncation_bound", 1.000001, 1.000001),
     ("poisson.single_tail_mode_sharp", 1e-06, 1e-06),
-    ("poisson.truncation_error_monotone", 1e-12, 1e-12),
+    ("poisson.truncation_error_monotone", 6.267785766610841e-13, 8.922003874994586e-13),
 ]
 
 
