@@ -24,10 +24,8 @@ solve order is private.  Every public array keeps the ascending interior
 order; only the block solves of ``dirichlet_solve`` run in the solve order.
 
 A solve with many right-hand sides is cut into fixed blocks of
-``_SOLVE_BLOCK`` columns, which run on a private pool of
-``min(2, usable CPUs)`` threads (the LU solves and BLAS products release
-the GIL).  The blocks never depend on the number of threads, so neither
-do the results: they are bitwise the same with one thread or two.
+``_SOLVE_BLOCK`` columns, solved one after another on the calling thread.
+The blocks depend only on the column count, so neither do the results.
 
 Norm conventions for boundary data: ``norm_dsigma`` is the plain L2 norm
 with respect to arclength measure; ``norm_normalized`` divides the measure
@@ -41,7 +39,6 @@ import os
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -143,15 +140,14 @@ class BoundaryField:
 
 _log = logging.getLogger("steklovsvd")
 
-# Columns per LU solve block.  Blocks start at column 0 and a trailing
-# one-column block joins the one before it.  A column's last bits can depend
-# on its block's width (with scipy 1.17's SuperLU, 1- to 3-column solves and
-# some wider ones differ from a 128-column block; blocks of 16-128 give the
-# same eigensolver arrays), so the fixed layout is what keeps results
-# independent of the worker count.  At most ``_WORKERS`` blocks are in
-# flight, each solved straight into its columns of the result: at 16
-# columns, a block's right-hand side and SuperLU's copy and work array stay
-# small next to the result.
+# Columns per LU solve block, for two reasons.  It fixes the bits: blocks
+# start at column 0 and a trailing one-column block joins the one before
+# it, and a column's last bits can depend on its block's width (with scipy
+# 1.17's SuperLU, 1- to 3-column solves and some wider ones differ from a
+# 128-column block; blocks of 16-128 give the same eigensolver arrays).  It
+# bounds the memory: one block is in flight, solved straight into its
+# columns of the result, so its right-hand side and SuperLU's copy and work
+# array stay small next to the result.
 _SOLVE_BLOCK = 16
 # Rows per block of the Gram form's GEMM ``(M E[:, cols])^T E[:, :stop]``,
 # one block at a time, and nothing else: the mass product ``M E[:, cols]``
@@ -165,50 +161,12 @@ _FORM_BLOCK = 64
 _DISSECTION_LEAF = 16
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-_WORKERS = min(2, _usable_cpus())
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-_pool_thread = threading.local()
-
-
 def _column_blocks(width: int, size: int) -> list[slice]:
     """``range(width)`` cut into ``size``-column blocks with no one-column tail."""
     starts = list(range(0, width, size))
     if len(starts) > 1 and width - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [width])]
-
-
-def _mark_pool_thread():
-    _pool_thread.active = True
-
-
-def _map_blocks(fn, blocks) -> None:
-    """Call ``fn(block)`` for every block, on the pool when it has two workers.
-
-    With one worker, one block, or when called from a pool thread (which
-    must not wait on its own pool), the blocks run inline in order.  The
-    pool is created on first use and its size logged at DEBUG.
-    """
-    global _pool
-    if _WORKERS < 2 or len(blocks) < 2 or getattr(_pool_thread, "active", False):
-        for block in blocks:
-            fn(block)
-        return
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS, "steklovsvd-lu", _mark_pool_thread)
-            _log.debug("LU column blocks run on a pool of %d threads", _WORKERS)
-        pool = _pool
-    for _ in pool.map(fn, blocks):
-        pass
 
 
 def _dissection_order(vertices: np.ndarray, stiffness: sp.csr_matrix, interior: np.ndarray):
@@ -490,29 +448,26 @@ class AssembledOperators:
         per field.  ``None`` means zero, and its term is skipped rather
         than multiplied out.  The interior rows solve
         ``A_II u_I = -(M f)_I - K_IB g``, in blocks of ``_SOLVE_BLOCK``
-        columns that run concurrently and are solved straight into ``u``.
+        columns that are solved in turn, straight into ``u``.
         The interior rows are read and written in the LU's solve order, so
         no block is permuted or copied on its way.
         """
         if mf is None and g is None:
             return np.zeros(self.n_vertices)
-        # Read (and built) here, never first in a pool thread.
         lu = self.interior_lu.factor
         rows, k_ib = self._solve_rows
         # Boundary and interior nodes partition the vertices: every row is written.
         u = np.empty((self.n_vertices,) + (mf if g is None else g).shape[1:])
         u[self.boundary_idx] = 0.0 if g is None else g
 
-        def solve(cols):
+        # A vector is one block; ``...`` indexes all of it.
+        for cols in _column_blocks(u.shape[1], _SOLVE_BLOCK) if u.ndim == 2 else [...]:
             # Negated in place: a block holds its right-hand side and solution.
             rhs = k_ib @ g[:, cols] if mf is None else mf[rows, cols]
             np.negative(rhs, out=rhs)
             if mf is not None and g is not None:
                 rhs -= k_ib @ g[:, cols]
             u[rows, cols] = lu.solve(rhs)
-
-        # A vector is one block; ``...`` indexes all of it.
-        _map_blocks(solve, _column_blocks(u.shape[1], _SOLVE_BLOCK) if u.ndim == 2 else [...])
         return u
 
     def boundary_flux(self, u: np.ndarray, mf=None) -> np.ndarray:
@@ -549,9 +504,9 @@ def operators(mesh: Mesh) -> AssembledOperators:
 
 
 def _after_fork_in_child():
-    """A forked child has none of the parent's threads: drop their pool and locks."""
-    global _pool, _pool_lock, _operator_lock
-    _pool, _pool_lock, _operator_lock = None, threading.Lock(), threading.Lock()
+    """A forked child has none of the parent's threads: drop the cache lock they may hold."""
+    global _operator_lock
+    _operator_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):

@@ -258,9 +258,9 @@ def _check_modes(m: int, limit: int, what: str):
 # Cost model of ``method="auto"``, in LU-solve columns: the time of one
 # single-right-hand-side solve with the interior LU (about 2e-9 s per LU
 # nonzero, one BLAS thread).  Fitted on disk and rectangle meshes of 566 to
-# 35,207 vertices:
-# * one column of the identity extension, solved in blocks, costs 0.49-0.65
-#   of a single solve;
+# 35,207 vertices, with the blocks solved one at a time on the calling thread:
+# * one column of the identity extension, solved in blocks, costs 0.50-0.69
+#   of a single solve (above 0.65 only at 35,207 vertices);
 # * the Gram product costs 0.03 columns per unit of n * nb**2 / (LU nonzeros),
 #   read from the mesh's factor.
 # Dense is never chosen when the n x nb extension that builds either form

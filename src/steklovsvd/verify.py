@@ -18,10 +18,10 @@ draws 10 pairs of boundary data for the symmetry and positivity of
 bounds, and the poisson suite 20 boundary data for the truncation bound.
 All come from one stream seeded with ``_SEED``, drawn in this fixed order,
 and the solver and spectra samples are solved as fixed column blocks (one
-block of 20 columns, two of 25), so a report is the same for any number
-of solve workers.  One Dirichlet eigensolve serves two suites: spectra
-reads its first eigenvalue and bergman its first five modes, or as many as
-the mesh has interior nodes.
+block of 20 columns, two of 25), so each sample is solved in the same LU
+solve block on every run.  One Dirichlet eigensolve serves two suites:
+spectra reads its first eigenvalue and bergman its first five modes, or as
+many as the mesh has interior nodes.
 """
 
 from __future__ import annotations

@@ -13,16 +13,14 @@ from steklovsvd import dbs_eigensolve, disk_mesh, fem
 from steklovsvd.fem import operators
 
 TIMEOUT_S = 120
-CALLERS = 4  # more user threads than the two pool workers
+CALLERS = 4  # more user threads than the CPUs of a small host
 
 
 # "auto" is dense here: the Gram form is built under the instance lock, the
 # LU inside it.  Lanczos factorizes on the first matvec of each thread.
 @pytest.mark.parametrize("method", ["auto", "lanczos"])
 def test_threads_share_one_fresh_mesh(monkeypatch, method):
-    with monkeypatch.context() as m:
-        m.setattr(fem, "_WORKERS", 1)
-        serial = dbs_eigensolve(disk_mesh(1.0, 0.05), 30, method=method)
+    serial = dbs_eigensolve(disk_mesh(1.0, 0.05), 30, method=method)
 
     factorizations = []
     splu = fem.splu
@@ -63,24 +61,38 @@ def test_threads_share_one_fresh_mesh(monkeypatch, method):
             assert np.array_equal(getattr(basis, name), getattr(serial, name)), name
 
 
-def _solve_in_child(ops, g, expected, conn):
-    conn.send(bool(np.array_equal(ops.extend_boundary_columns(g), expected)))
+def _solve_in_child(mesh, g, expected, conn):
+    conn.send(bool(np.array_equal(operators(mesh).extend_boundary_columns(g), expected)))
     conn.close()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform has no fork")
 @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
-def test_forked_child_after_the_pool_exists(monkeypatch):
-    monkeypatch.setattr(fem, "_WORKERS", 2)
+def test_forked_child_solves_while_a_thread_holds_the_cache_lock():
     mesh = disk_mesh(1.0, 0.1)
     ops = operators(mesh)
     g = np.random.default_rng(3).standard_normal((mesh.boundary_nodes.size, 100))
     expected = ops.extend_boundary_columns(g)
-    assert fem._pool is not None
+    # A user thread holds the operator cache's lock across the fork: the
+    # child has no such thread, so its copy of the lock is never released.
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with fem._operator_lock:
+            held.set()
+            release.wait(TIMEOUT_S)
+
+    holder = threading.Thread(target=hold, daemon=True)
+    holder.start()
+    assert held.wait(TIMEOUT_S)
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_solve_in_child, args=(ops, g, expected, send))
-    child.start()
+    child = ctx.Process(target=_solve_in_child, args=(mesh, g, expected, send))
+    try:
+        child.start()
+    finally:
+        release.set()
+        holder.join()
     try:
         finished = receive.poll(TIMEOUT_S / 4)
         assert finished, "the forked child's blocked solve did not finish"

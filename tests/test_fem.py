@@ -409,12 +409,11 @@ class TestNestedDissection:
             u[ops.interior_idx], ops.interior_lu.solve(-(ops.stiffness_ib @ g)), rtol=1e-12
         )
 
-    def test_block_solves_copy_no_permuted_block(self, monkeypatch):
-        # One worker, so one block is in flight.  Then the peak is the result
-        # u (0.75 MB) plus one block's right-hand side and solution: 1.10 MB
-        # of traced allocations with 16-column blocks.  A permuted copy of a
-        # block adds another 0.17 MB.
-        monkeypatch.setattr(fem, "_WORKERS", 1)
+    def test_block_solves_copy_no_permuted_block(self):
+        # One block is in flight, so the peak is the result u (0.75 MB) plus
+        # one block's right-hand side and solution: 1.10 MB of traced
+        # allocations with 16-column blocks.  A permuted copy of a block
+        # adds another 0.17 MB.
         mesh = disk_mesh(1.0, 0.05)
         ops = operators(mesh)
         g = np.random.default_rng(6).standard_normal((mesh.boundary_nodes.size, 64))

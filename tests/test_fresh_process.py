@@ -1,9 +1,12 @@
-"""The size-refusal checks of CI, each run in a fresh child process.
+"""Checks that need a fresh process, each run in a child process.
 
-Each child runs the command-line interface with one BLAS thread.  The size
-refusal runs under a 1 GiB address-space limit set in the child alone, so a
-builder that allocated before it refused would end in a ``MemoryError``
-traceback, not in one ``error:`` line.
+The size-refusal children run the command-line interface with one BLAS
+thread.  The size refusal runs under a 1 GiB address-space limit set in
+the child alone, so a builder that allocated before it refused would end in
+a ``MemoryError`` traceback, not in one ``error:`` line.  The
+state-sensitive tests run alone in a child pytest, so module state that
+earlier tests leave (the Bessel-zero memo, a record logged only on a first
+call) cannot hide an order dependence.
 """
 
 import os
@@ -17,6 +20,7 @@ import pytest
 import steklovsvd
 
 SRC = str(Path(steklovsvd.__file__).resolve().parent.parent)
+TESTS = Path(__file__).resolve().parent
 # One triangle whose area, about 5e399, overflows.
 OVERFLOW_MESH = (
     "nodes 3\n0 0 1\n1e200 0 1\n0 1e200 1\ntriangles 1\n0 1 2\nboundary_loops 1\nloop 3\n0 1 2\n"
@@ -60,3 +64,20 @@ def test_a_mesh_file_whose_area_overflows_is_one_error_line(tmp_path):
     proc = cli(["dbs", "--mesh", tmp_path / "mesh.txt", "--modes", 3, "--out", out], tmp_path)
     assert_one_error_line(proc)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        "test_spectra.py::TestMethodChoice::test_choice_is_logged_at_debug",
+        "test_analytic_disk.py::TestBessel::test_zeros_do_not_depend_on_call_history",
+    ],
+)
+def test_state_sensitive_test_passes_alone_in_a_fresh_process(node):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(TESTS / node)],
+        env=dict(os.environ, PYTHONPATH=SRC), cwd=TESTS.parent, capture_output=True, text=True,
+        timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    assert "1 passed" in proc.stdout, proc.stdout[-2000:]

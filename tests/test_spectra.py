@@ -347,7 +347,7 @@ class TestMethodChoice:
         with caplog.at_level(logging.DEBUG, logger="steklovsvd"):
             dbs_eigensolve(mesh, 6)
             harmonic_steklov_eigensolve(mesh, 5)
-        # Only the solver's records: the LU pool logs its first use too.
+        # Only the solver's records: the LU logs its factorization too.
         records = [r for r in caplog.records if r.module == "spectra"]
         messages = [r.getMessage() for r in records]
         assert len(messages) == 2
