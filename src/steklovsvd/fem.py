@@ -26,6 +26,8 @@ order; only the block solves of ``dirichlet_solve`` run in the solve order.
 A solve with many right-hand sides is cut into fixed blocks of
 ``_SOLVE_BLOCK`` columns, solved one after another on the calling thread.
 The blocks depend only on the column count, so neither do the results.
+The dense boundary forms are built the same way, one fixed block of
+``_FORM_BLOCK`` columns of the boundary identity at a time.
 
 Norm conventions for boundary data: ``norm_dsigma`` is the plain L2 norm
 with respect to arclength measure; ``norm_normalized`` divides the measure
@@ -149,12 +151,13 @@ _log = logging.getLogger("steklovsvd")
 # columns of the result, so its right-hand side and SuperLU's copy and work
 # array stay small next to the result.
 _SOLVE_BLOCK = 16
-# Rows per block of the Gram form's GEMM ``(M E[:, cols])^T E[:, :stop]``,
-# one block at a time, and nothing else: the mass product ``M E[:, cols]``
-# is formed one solve block at a time into an ``n x _FORM_BLOCK`` buffer.
-# Narrower row blocks make BLAS sum small products in another order (32 and
-# 16 rows change last bits), and two blocks in flight would hold two buffers.
-_FORM_BLOCK = 64
+# Columns per block of the boundary identity that builds the boundary forms,
+# apart from ``_SOLVE_BLOCK`` so that the forms' bits do not follow it: each
+# block is extended, multiplied into its Schur columns and its Gram rows
+# ``(M E[:, cols])^T E[:, :stop]``, and dropped.  The GEMM's row count sets
+# the Gram form's last bits (64 rows round differently on small meshes); wider
+# rows read E fewer times but hold the mass product of more columns.
+_FORM_BLOCK = 16
 
 
 # Nested dissection stops splitting groups of at most this many interior nodes.
@@ -387,16 +390,13 @@ class AssembledOperators:
         ``E`` is the discrete harmonic extension of the boundary identity
         (column ``j`` extends the unit vector of boundary node ``j``).  Both
         forms are ``nb x nb``, read-only and built at most once.  Either
-        form extends the whole identity in one call (``E`` is ``n x nb``,
-        dropped on return) and takes the Schur form, the stiffness matrix's
-        boundary rows applied to ``E``; built alone, the Schur form skips
-        the Gram product but still holds all of ``E`` (``8 n nb`` bytes)
-        while it is built.  The Gram form is multiplied out on and below its
-        diagonal ``_FORM_BLOCK`` rows at a time and mirrored, so it is
-        exactly symmetric.  Each row block's mass product ``M E[:, cols]``
-        is formed ``_SOLVE_BLOCK`` columns at a time into one reused ``n x
-        _FORM_BLOCK`` buffer, so beside ``E`` and the forms the build holds
-        that buffer and thin blocks only.
+        build extends the identity one ``_FORM_BLOCK``-column block at a
+        time and takes the block's Schur columns, the stiffness matrix's
+        boundary rows applied to it.  Only the Gram form keeps ``E``
+        (``8 n nb`` bytes): each block is copied into it and its Gram rows
+        are multiplied out on and below the diagonal, then mirrored, so the
+        form is exactly symmetric.  The Schur form built alone holds one
+        block of ``E`` at a time.
         """
         if kind not in ("gram", "schur"):
             raise ValueError(f"unknown boundary form {kind!r}")
@@ -418,23 +418,22 @@ class AssembledOperators:
         identity = np.lib.stride_tricks.as_strided(
             diagonal[nb - 1 :], (nb, nb), (-step, step), writeable=False
         )
-        ext = self.extend_boundary_columns(identity)
-        if not gram:
-            return {"schur": self.stiffness_b @ ext}
-        n = self.n_vertices
-        blocks = _column_blocks(nb, _FORM_BLOCK)
-        form = np.empty((nb, nb))
-        buffer = np.empty(n * max(cols.stop - cols.start for cols in blocks))
-        for cols in blocks:
-            # A contiguous n x width view, as the whole product was: same GEMM bits.
-            m_cols = buffer[: n * (cols.stop - cols.start)].reshape(n, -1)
-            for part in _column_blocks(m_cols.shape[1], _SOLVE_BLOCK):
-                m_cols[:, part] = self.mass @ ext[:, cols][:, part]
-            form[cols, : cols.stop] = m_cols.T @ ext[:, : cols.stop]
-        upper = np.triu_indices(nb, 1)
-        form[upper] = form.T[upper]
-        # After the Gram product, so its working set does not grow by the Schur form.
-        return {"gram": form, "schur": self.stiffness_b @ ext}
+        forms = {"schur": np.empty((nb, nb))}
+        if gram:
+            forms["gram"] = np.empty((nb, nb))
+            ext = np.empty((self.n_vertices, nb))
+        for cols in _column_blocks(nb, _FORM_BLOCK):
+            block = self.extend_boundary_columns(identity[:, cols])
+            forms["schur"][:, cols] = self.stiffness_b @ block
+            if gram:
+                ext[:, cols] = block
+                forms["gram"][cols, : cols.stop] = (self.mass @ block).T @ ext[:, : cols.stop]
+            del block  # not held while the next block is solved
+        if gram:
+            del ext
+            upper = np.triu_indices(nb, 1)
+            forms["gram"][upper] = forms["gram"].T[upper]
+        return forms
 
     def extend_boundary_columns(self, g_columns: np.ndarray) -> np.ndarray:
         """Discrete harmonic extension of boundary data, one column per field."""
@@ -448,7 +447,8 @@ class AssembledOperators:
         per field.  ``None`` means zero, and its term is skipped rather
         than multiplied out.  The interior rows solve
         ``A_II u_I = -(M f)_I - K_IB g``, in blocks of ``_SOLVE_BLOCK``
-        columns that are solved in turn, straight into ``u``.
+        columns that are solved in turn, straight into ``u``, which is
+        allocated once the first block is solved.
         The interior rows are read and written in the LU's solve order, so
         no block is permuted or copied on its way.
         """
@@ -456,19 +456,23 @@ class AssembledOperators:
             return np.zeros(self.n_vertices)
         lu = self.interior_lu.factor
         rows, k_ib = self._solve_rows
-        # Boundary and interior nodes partition the vertices: every row is written.
-        u = np.empty((self.n_vertices,) + (mf if g is None else g).shape[1:])
-        u[self.boundary_idx] = 0.0 if g is None else g
-
+        shape = (self.n_vertices,) + (mf if g is None else g).shape[1:]
+        u = None
         # A vector is one block; ``...`` indexes all of it.
-        for cols in _column_blocks(u.shape[1], _SOLVE_BLOCK) if u.ndim == 2 else [...]:
-            # Negated in place: a block holds its right-hand side and solution.
-            rhs = k_ib @ g[:, cols] if mf is None else mf[rows, cols]
-            np.negative(rhs, out=rhs)
+        for cols in _column_blocks(shape[1], _SOLVE_BLOCK) if len(shape) == 2 else [...]:
+            # Negated in place, then rebound to its solution: the right-hand
+            # side is freed before the first block's solution meets u.
+            block = k_ib @ g[:, cols] if mf is None else mf[rows, cols]
+            np.negative(block, out=block)
             if mf is not None and g is not None:
-                rhs -= k_ib @ g[:, cols]
-            u[rows, cols] = lu.solve(rhs)
-        return u
+                block -= k_ib @ g[:, cols]
+            block = lu.solve(block)
+            if u is None:  # not held beside the first solve
+                # Boundary and interior nodes partition the vertices: every row is written.
+                u = np.empty(shape)
+                u[self.boundary_idx] = 0.0 if g is None else g
+            u[rows, cols] = block
+        return np.empty(shape) if u is None else u  # no columns, no block
 
     def boundary_flux(self, u: np.ndarray, mf=None) -> np.ndarray:
         """Consistent normal flux ``(K u + M f)[boundary] / w`` of ``u`` with ``lap u = f``.

@@ -263,8 +263,10 @@ def _check_modes(m: int, limit: int, what: str):
 #   of a single solve (above 0.65 only at 35,207 vertices);
 # * the Gram product costs 0.03 columns per unit of n * nb**2 / (LU nonzeros),
 #   read from the mesh's factor.
-# Dense is never chosen when the n x nb extension that builds either form
-# (8 n nb bytes) would exceed the memory ceiling.
+# Dense is never chosen when the n x nb extension (8 n nb bytes) would
+# exceed the memory ceiling.  The Gram build holds it; the Schur form is
+# built one block at a time, and its ceiling stays only so that no "auto"
+# choice moves.
 _BLOCK_COLUMN = 0.55
 _GRAM_COST = 0.03
 _DENSE_MEMORY_LIMIT = 2**28  # bytes
@@ -415,8 +417,9 @@ def harmonic_steklov_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") 
     chosen as in :func:`dbs_eigensolve`, with the Schur form in place of
     the Gram form: "dense" builds only the Schur form on a mesh that has
     neither, and "auto" picks dense whenever the Schur form is cached
-    (any dense solve on the mesh leaves it).  The build holds the whole
-    ``n x nb`` extension; "auto" bounds it by 256 MiB, "dense" does not.
+    (any dense solve on the mesh leaves it).  The Schur form built alone
+    holds one 16-column block of the ``n x nb`` extension at a time; "auto"
+    still takes Lanczos where the whole extension would pass 256 MiB.
     """
     ops = operators(mesh)
     _check_modes(n_modes, ops.boundary_idx.size, "boundary-node")

@@ -13,6 +13,7 @@ from steklovsvd import (
     disk_mesh,
     fem,
     harmonic_steklov_eigensolve,
+    refine,
 )
 from steklovsvd.fem import operators
 
@@ -63,11 +64,10 @@ def test_solve_block_width_does_not_change_eigensolver_arrays(monkeypatch, name)
 
 
 def test_gram_form_holds_the_extension_and_thin_blocks():
-    # Beside E and the two forms: one n x _FORM_BLOCK mass-product buffer
-    # and the block in flight (a _SOLVE_BLOCK-column mass product and its
-    # copy of E's columns, or a solve block's right-hand side and
-    # solution).  Multiplying a whole 64-column slice of E read 1.38 MB
-    # here, and the bound is 1.19 MB.
+    # Beside E and the two forms: the block in flight (a _FORM_BLOCK-column
+    # block of E and its mass product, or a solve block's right-hand side
+    # and solution).  Here the excess reads 0.41 MB; the n x 64 mass-product
+    # buffer of the old build added 0.60 MB to it.
     mesh = disk_mesh(1.0, 0.05)
     ops = operators(mesh)
     n, nb = ops.n_vertices, ops.boundary_idx.size
@@ -79,14 +79,14 @@ def test_gram_form_holds_the_extension_and_thin_blocks():
     finally:
         tracemalloc.stop()
     held = 8 * n * nb + 2 * 8 * nb * nb  # E, the Gram form and the Schur form
-    blocks = 8 * n * (fem._FORM_BLOCK + 2 * fem._SOLVE_BLOCK)
+    blocks = 8 * n * 2 * fem._FORM_BLOCK
     assert peak <= held + blocks + 64 * 1024
 
 
-def test_schur_form_alone_holds_the_extension_and_the_solve_blocks():
-    # Beside E and the Schur form: the one solve block in flight, its
-    # right-hand side and its solution.  Here E is 1.49 MB and the block
-    # reads 0.22 MB (two blocks in flight would read 0.60 MB).
+def test_schur_form_alone_holds_one_block_of_the_extension():
+    # Beside the Schur form: the one block of E in flight, with its solve
+    # block's right-hand side and solution, and no n x nb extension.  Here
+    # the block reads 0.38 MB, and the whole E would add 1.48 MB.
     ops = operators(disk_mesh(1.0, 0.05))
     n, nb = ops.n_vertices, ops.boundary_idx.size
     ops.extend_boundary_columns(np.ones((nb, 2)))  # the LU and the permuted K_IB, built once
@@ -97,9 +97,24 @@ def test_schur_form_alone_holds_the_extension_and_the_solve_blocks():
     finally:
         tracemalloc.stop()
     assert not ops.has_boundary_form("gram")
-    held = 8 * n * nb + 8 * nb * nb  # E and the Schur form
-    block = 8 * n * 2 * fem._SOLVE_BLOCK
-    assert peak <= held + block + 64 * 1024
+    block = 8 * n * 2 * fem._FORM_BLOCK
+    assert peak <= 8 * nb * nb + block + 64 * 1024
+
+
+def test_a_dense_dtn_solve_on_a_fresh_mesh_holds_less_than_the_extension():
+    # The whole solve, from assembly and factorization to the eigenvectors'
+    # extension, traced: 11.4 MB here against 22.3 MB for E (26.3 MB when
+    # the Schur form was built from the whole extension).
+    mesh = refine(disk_mesh(1.0, 0.04))
+    n, nb = mesh.vertices.shape[0], mesh.boundary_nodes.size
+    tracemalloc.start()
+    try:
+        harmonic_steklov_eigensolve(mesh, 30)  # "auto" takes the dense path here
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert operators(mesh).has_boundary_form("schur")
+    assert peak < 8 * n * nb
 
 
 def test_every_block_of_an_extension_is_solved_on_the_callers_thread(monkeypatch):

@@ -297,13 +297,15 @@ class TestBoundaryForms:
 
         monkeypatch.setattr(fem.AssembledOperators, "extend_boundary_columns", counting)
         harmonic_steklov_eigensolve(mesh, 5, method="dense")
-        # The whole identity in one call, then the 5 eigenvectors.
-        assert columns == [nb, 5]
+        # The identity in _FORM_BLOCK-column blocks, then the 5 eigenvectors.
+        identity = [16, 16, 16, 15]
+        assert sum(identity) == nb
+        assert columns == identity + [5]
         assert ops.has_boundary_form("schur") and not ops.has_boundary_form("gram")
         schur = ops.boundary_form("schur")
         dbs_eigensolve(mesh, 6, method="dense")
         # The DBS solve extends the identity again for its Gram form.
-        assert columns == [nb, 5, nb, 6]
+        assert columns == identity + [5] + identity + [6]
         assert ops.boundary_form("schur") is schur
         # The Schur form built alone equals the one built with the Gram form.
         both = operators(disk_mesh(1.0, 0.1))
@@ -352,6 +354,37 @@ FILL_MESHES = {
     "rectangle": lambda: build_polygon_mesh(RECTANGLE, 0.05),
     "refined_disk_read_back": lambda: read_mesh_text(write_mesh_text(refine(disk_mesh(1.0, 0.1)))),
 }
+
+
+FORM_MESHES = {
+    "disk": lambda: disk_mesh(1.0, 0.05),
+    "pentagon": lambda: build_polygon_mesh(PENTAGON, 0.1),
+    "rectangle": lambda: build_polygon_mesh(RECTANGLE, 0.05),
+    "refined_disk": lambda: refine(disk_mesh(1.0, 0.04)),
+}
+
+
+class TestBlockedForms:
+    @pytest.mark.parametrize("kind", ["gram", "schur"])
+    @pytest.mark.parametrize("name", sorted(FORM_MESHES))
+    def test_blocks_keep_the_bits_of_the_whole_extension(self, monkeypatch, name, kind):
+        # The build before the blocks extended the whole identity in one
+        # call and took the Schur form as one product: E's blocks and the
+        # Schur form keep those bits, whichever form is built.
+        ops = operators(FORM_MESHES[name]())
+        whole = ops.extend_boundary_columns(np.eye(ops.boundary_idx.size))
+        blocks = []
+        extend = fem.AssembledOperators.extend_boundary_columns
+
+        def recording(self, g_columns):
+            blocks.append(extend(self, g_columns))
+            return blocks[-1]
+
+        monkeypatch.setattr(fem.AssembledOperators, "extend_boundary_columns", recording)
+        ops.boundary_form(kind)
+        assert ops.has_boundary_form("gram") == (kind == "gram")
+        assert np.hstack(blocks).tobytes() == whole.tobytes()
+        assert ops.boundary_form("schur").tobytes() == (ops.stiffness_b @ whole).tobytes()
 
 
 def _colamd_lu(ops):
