@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -350,6 +351,9 @@ _EIGEN_COMMANDS = {
 
 
 def _cmd_eigen(args) -> int:
+    # Both files are renamed into place, so one path would keep only the mesh.
+    if args.mesh_out and os.path.realpath(args.mesh_out) == os.path.realpath(args.out):
+        raise InputError(f"--mesh-out names the same file as --out: {args.mesh_out}")
     mesh, descriptor = _domain_mesh(args)
     solve, payload = _EIGEN_COMMANDS[args.command]
     result = solve(mesh, args.modes)

@@ -45,6 +45,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
+from . import fem
 from .errors import CapacityError, IterationLimitError, OutsideDomainError, TruncationWarning
 from .fem import (
     BoundaryField,
@@ -133,11 +134,15 @@ def _fix_signs(columns: list[np.ndarray], reference: np.ndarray):
     The significance cutoff sits well above discretization noise so the
     convention does not hinge on the sign of a nearly-zero coefficient.
     The flips are found first, as ``reference`` is often one of ``columns``.
-    No ``n x M`` float temporary is made: ``|reference|`` is never formed, and
+    No ``n x M`` temporary is made: ``|reference|`` is never formed, the
+    significant entries are marked one solve block of columns at a time, and
     a product with -1.0 flips a column in place with the same bits as negation.
     """
     cut = 1e-3 * np.maximum(reference.max(axis=0), -reference.min(axis=0))
-    first = np.argmax((reference > cut) | (reference < -cut), axis=0)
+    first = np.empty(reference.shape[1], dtype=np.intp)
+    for cols in fem._column_blocks(reference.shape[1], fem._SOLVE_BLOCK):
+        block = reference[:, cols]
+        first[cols] = np.argmax((block > cut[cols]) | (block < -cut[cols]), axis=0)
     sign = np.where(reference[first, np.arange(reference.shape[1])] < 0, -1.0, 1.0)
     for mat in columns:
         mat *= sign
@@ -383,6 +388,14 @@ def dbs_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") -> SpectralBa
     SpectralBasis
         Eigenvalues ascending; eigenfields normalized and orthonormal as
         described on :class:`SpectralBasis`.
+
+    Notes
+    -----
+    The eigenfields are finished one ``_SOLVE_BLOCK``-mode block at a time,
+    so the dense peak is the larger of two phases: building the Gram form
+    holds ``E`` (``8 n nb`` bytes), both forms and one block; the finish
+    holds ``h`` and ``b`` (``16 n M`` bytes for ``M = n_modes``) and one
+    block.
     """
     ops = operators(mesh)
     _check_modes(n_modes, ops.boundary_idx.size - 1, "boundary-node")
@@ -391,15 +404,28 @@ def dbs_eigensolve(mesh: Mesh, n_modes: int, method: str = "auto") -> SpectralBa
         raise IterationLimitError("eigensolver returned a nonpositive spectrum")
     q = 1.0 / beta
 
-    h_mat = ops.extend_boundary_columns(g_cols)
-    mh = ops.mass @ h_mat
-    scale = np.sqrt(np.einsum("ij,ij->j", h_mat, mh))
-    h_mat /= scale
-    mh /= scale
+    # One solve block of modes at a time, each block contiguous until it is
+    # copied into its columns: beside h and b only the block's extension,
+    # its mass product ``M h`` and its solve are held, never an n x M mass
+    # product.  The blocks are the solves' own, so every column keeps its bits.
+    h_mat = np.empty((ops.n_vertices, n_modes))
+    b_mat = np.empty_like(h_mat)
+    w_mat = np.empty((ops.boundary_idx.size, n_modes))
+    scale = np.empty(n_modes)
+    for cols in fem._column_blocks(n_modes, fem._SOLVE_BLOCK):
+        h = ops.extend_boundary_columns(g_cols[:, cols])
+        mh = ops.mass @ h
+        scale[cols] = np.sqrt(np.einsum("ij,ij->j", h, mh))
+        h /= scale[cols]
+        mh /= scale[cols]
+        h_mat[:, cols] = h
+        del h  # not held beside the solve
+        b = ops.dirichlet_solve(mh)
+        b_mat[:, cols] = b
+        w_mat[:, cols] = ops.boundary_flux(b, mh)
+        del b, mh
+    w_mat *= np.sqrt(q * mesh.boundary_length)
     g_cols = g_cols / scale
-    b_mat = ops.dirichlet_solve(mh)
-    w_mat = np.sqrt(q * mesh.boundary_length)[None, :] * ops.boundary_flux(b_mat, mh)
-    del mh  # not held through the rotation and the sign fix
 
     # Rotate the finished orthonormal systems: cluster rotations then leave
     # the Gram identities at rounding level, while the per-mode coupling

@@ -101,6 +101,28 @@ def test_schur_form_alone_holds_one_block_of_the_extension():
     assert peak <= 8 * nb * nb + block + 64 * 1024
 
 
+def test_dbs_finish_holds_h_b_and_one_block_of_modes():
+    # With the Gram form built, a dense DBS solve peaks in its finish: h and
+    # b, the small w and g, and one block of modes in flight (its mass
+    # product with a solve's right-hand side and solution, or the block's
+    # extension and its mass product).  Here the excess over h, b, w and g
+    # reads 0.56 MB, and 1.69 MB with the n x M mass product beside h and b.
+    mesh = disk_mesh(1.0, 0.05)
+    ops = operators(mesh)
+    n, nb = ops.n_vertices, ops.boundary_idx.size
+    ops.boundary_form("gram")  # the LU and both forms, built before tracing
+    n_modes = nb - 1
+    tracemalloc.start()
+    try:
+        dbs_eigensolve(mesh, n_modes, method="dense")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = 2 * 8 * n * n_modes + 2 * 8 * nb * n_modes  # h and b, w and g
+    block = 4 * 8 * n * (fem._SOLVE_BLOCK + 1)
+    assert peak <= held + block + 64 * 1024
+
+
 def test_a_dense_dtn_solve_on_a_fresh_mesh_holds_less_than_the_extension():
     # The whole solve, from assembly and factorization to the eigenvectors'
     # extension, traced: 11.4 MB here against 22.3 MB for E (26.3 MB when

@@ -418,6 +418,22 @@ class TestFailedWrites:
         assert out.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["b.json"]
 
+    @pytest.mark.parametrize("command", ["dbs", "steklov", "laplace-eigs"])
+    @pytest.mark.parametrize("spelling", ["{name}", "./{name}"], ids=["same", "dot_slash"])
+    def test_mesh_out_naming_the_out_file_is_refused(
+        self, tmp_path, monkeypatch, capsys, recwarn, command, spelling
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "same.out").write_text("old\n")
+        mesh_out = spelling.format(name="same.out")
+        argv = [command, "--h", "0.3", "--modes", "3", "--out", "same.out", "--mesh-out", mesh_out]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --mesh-out names the same file as --out: {mesh_out}\n"
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+        assert (tmp_path / "same.out").read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["same.out"]
+
 
 class TestInputFileErrors:
     BAD_CONTENT = {

@@ -178,7 +178,8 @@ def test_same_bytes_from_fresh_processes_under_two_hash_seeds_and_a_warm_one(tmp
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
 def test_threaded_tests_pass_on_one_cpu():
     # User threads sharing one mesh and the Bessel-zero race, with the
-    # block-width test and the working-set bounds of the boundary forms.
+    # block-width test and the working-set bounds of the boundary forms
+    # and of the DBS finish.
     cpu = min(os.sched_getaffinity(0))
     proc = child_pytest(
         "test_block_workers.py",
